@@ -8,7 +8,6 @@ from .core import (
     PotentialSpec,
     ScaleProfile,
     WaveFunction,
-    evaluate_potential,
     inner_product,
     norm_squared,
 )

@@ -20,7 +20,6 @@ __all__ = [
     "HamiltonianSpec",
     "inner_product",
     "norm_squared",
-    "evaluate_potential",
 ]
 
 
@@ -170,23 +169,6 @@ class ScaleProfile:
     def is_piecewise_constant(self) -> bool:
         return self.kind in ("constant", "step", "pulse")
 
-    def average(self, t_a: float, t_b: float) -> float:
-        """Exact time average of S over [t_a, t_b] for piecewise-constant
-        kinds; raises for sampled profiles (use quadrature there)."""
-        if not t_a < t_b:
-            raise ValueError("average requires t_a < t_b")
-        if self.kind == "constant":
-            return self.eta
-        if self.kind == "step":
-            hi = max(0.0, t_b - max(t_a, self.t_on))
-            return (hi * self.eta + (t_b - t_a - hi) * 1.0) / (t_b - t_a)
-        if self.kind == "pulse":
-            lo = max(t_a, self.t_on)
-            hi = min(t_b, self.t_off)
-            inside = max(0.0, hi - lo)
-            return (inside * self.eta + (t_b - t_a - inside) * 1.0) / (t_b - t_a)
-        raise ValueError("no closed-form average for sampled profiles")
-
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -267,6 +249,15 @@ class PotentialSpec:
             raise ValueError("potential evaluated to a non-finite value")
         return out if out.ndim else float(out)
 
+    def breakpoints(self) -> np.ndarray:
+        """Times at which V may jump or change slope in t.  Between two
+        consecutive breakpoints every supported kind is linear in t."""
+        if self.kind == "tabulated":
+            return self.t_samples
+        if self.profile.kind == "sampled":
+            return self.profile.times
+        return np.asarray(self.profile.discontinuities(), dtype=float)
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
@@ -285,7 +276,3 @@ class HamiltonianSpec:
     def potential_on_grid(self, grid: Grid, t: float) -> np.ndarray:
         return np.asarray(self.potential.evaluate(grid.x, t), dtype=float)
 
-
-def evaluate_potential(h: HamiltonianSpec, x, t: float):
-    """V(x, t) of the given Hamiltonian at one position and time."""
-    return h.potential.evaluate(x, t)

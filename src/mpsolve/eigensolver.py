@@ -82,17 +82,14 @@ class EigenBasis:
 
 
 def discretize(h: HamiltonianSpec, grid: Grid, t_freeze: float) -> SymTridiagonal:
-    """Grid representation of H frozen at t_freeze:
-    diagonal_i = hbar^2/(m dx^2) + V(x_i), off-diagonal = -hbar^2/(2 m dx^2)."""
-    kin = h.hbar**2 / (h.mass * grid.dx**2)
-    diag = kin + h.potential_on_grid(grid, t_freeze)
-    off = np.full(grid.points - 1, -0.5 * kin)
-    return SymTridiagonal(diag, off)
+    """Grid representation of H frozen at t_freeze."""
+    return tridiagonal_hamiltonian(h, grid, h.potential_on_grid(grid, t_freeze))
 
 
-def from_potential_samples(h: HamiltonianSpec, grid: Grid,
-                           v: np.ndarray) -> SymTridiagonal:
-    """Tridiagonal matrix from an already-averaged potential sample vector."""
+def tridiagonal_hamiltonian(h: HamiltonianSpec, grid: Grid,
+                            v: np.ndarray) -> SymTridiagonal:
+    """p^2/2m + v on the grid for potential samples v:
+    diagonal_i = hbar^2/(m dx^2) + v_i, off-diagonal = -hbar^2/(2 m dx^2)."""
     kin = h.hbar**2 / (h.mass * grid.dx**2)
     off = np.full(grid.points - 1, -0.5 * kin)
     return SymTridiagonal(kin + np.asarray(v, float), off)

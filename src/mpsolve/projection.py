@@ -11,13 +11,12 @@ the per-slice norm, never renormalized).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid, HamiltonianSpec, ScaleProfile, WaveFunction
-from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, from_potential_samples
+from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, tridiagonal_hamiltonian
 
 __all__ = [
     "SliceSchedule",
@@ -32,10 +31,6 @@ __all__ = [
 ]
 
 AVERAGING_MODES = ("integral", "midpoint_endpoint_mean")
-
-# Gauss-Legendre nodes/weights on [-1, 1] for the time average of smooth
-# potentials over one slice.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -104,38 +99,28 @@ def build_schedule(t0: float, t1: float, slices: int,
     return SliceSchedule(np.array(sorted(bounds)), averaging)
 
 
-def _averaged_potential(h: HamiltonianSpec, grid: Grid,
-                        t_a: float, t_b: float, averaging: str) -> np.ndarray:
-    """Potential samples averaged over one slice.
-
-    midpoint_endpoint_mean: arithmetic mean of the two endpoint potentials.
-    integral: exact average for piecewise-constant scale profiles, 16-point
-    Gauss-Legendre in time otherwise.
-    """
-    pot = h.potential
-    if averaging == "midpoint_endpoint_mean":
-        return 0.5 * (h.potential_on_grid(grid, t_a) + h.potential_on_grid(grid, t_b))
-    if pot.kind == "scaled_harmonic" and pot.profile.is_piecewise_constant():
-        s_bar = pot.profile.average(t_a, t_b)
-        return 0.5 * s_bar * pot.k * grid.x**2
-    if pot.kind == "harmonic":
-        return h.potential_on_grid(grid, t_a)
-    mid = 0.5 * (t_a + t_b)
-    half = 0.5 * (t_b - t_a)
-    acc = np.zeros(grid.points)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        acc += weight * h.potential_on_grid(grid, mid + half * node)
-    return acc * 0.5  # GL weights sum to 2
-
-
 def stepwise_hamiltonian(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
                          averaging: str = "integral") -> SymTridiagonal:
-    """Tridiagonal matrix of the Hamiltonian time-averaged over [t_a, t_b]."""
+    """Tridiagonal matrix of the Hamiltonian time-averaged over [t_a, t_b].
+
+    midpoint_endpoint_mean: arithmetic mean of the two endpoint potentials.
+    integral: the slice is cut at the potential's breakpoints inside it and
+    each piece contributes its midpoint value weighted by its length.  Every
+    supported potential is linear in t between breakpoints, so this is the
+    exact time average; a slice without breakpoints gets weight exactly 1.
+    """
     if not t_a < t_b:
         raise ValueError("slice requires t_a < t_b")
     if averaging not in AVERAGING_MODES:
         raise ValueError("unknown averaging mode %r" % averaging)
-    return from_potential_samples(h, grid, _averaged_potential(h, grid, t_a, t_b, averaging))
+    if averaging == "midpoint_endpoint_mean":
+        v = 0.5 * (h.potential_on_grid(grid, t_a) + h.potential_on_grid(grid, t_b))
+    else:
+        knots = h.potential.breakpoints()
+        cuts = np.concatenate(([t_a], knots[(knots > t_a) & (knots < t_b)], [t_b]))
+        v = sum((hi - lo) / (t_b - t_a) * h.potential_on_grid(grid, 0.5 * (lo + hi))
+                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    return tridiagonal_hamiltonian(h, grid, v)
 
 
 def project(psi: WaveFunction, basis: EigenBasis) -> np.ndarray:
@@ -173,23 +158,17 @@ def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:
     return float(np.real(np.sum(np.conj(amps) * h_amps * w)) / nsq)
 
 
-def _slice_key(v: np.ndarray) -> str:
-    return hashlib.sha1(v.tobytes()).hexdigest()
-
-
 def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
-           truncation: int | None = None, refresh_policy: str = "cache",
+           truncation: int | None = None,
            final_basis: EigenBasis | None = None) -> EvolutionResult:
     """Run the projection cascade over every slice of the schedule.
 
-    refresh_policy "cache" reuses the eigendecomposition while the averaged
-    potential samples are bit-identical; "always" recomputes each slice
-    (results are identical either way, per the determinism of the solver).
-    Returns per-slice reports with coefficients (phases applied), norm and
-    the intermediate-energy expectation of the slice just completed.
+    A slice whose matrix equals the previous slice's reuses its eigenpairs,
+    which are bit-identical to a fresh solve; any other slice is solved
+    anew, so at most one basis is held.  Returns per-slice reports with
+    coefficients (phases applied), norm and the intermediate-energy
+    expectation of the slice just completed.
     """
-    if refresh_policy not in ("cache", "always"):
-        raise ValueError("unknown refresh policy %r" % refresh_policy)
     grid = psi0.grid
     psi = psi0.amplitudes.copy()
     if not np.all(np.isfinite(psi)):
@@ -197,37 +176,28 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     w = grid.weights
     dx = grid.dx
 
-    # The projection/reconstruction inside the cascade uses the uniform-dx
-    # metric, in which the discretized Hamiltonian is exactly self-adjoint,
-    # so a full-basis step is an isometry to rounding.  The trapezoidal
-    # metric (used for reported norms and all observables) differs only at
-    # the two wall nodes, where physical states vanish.
-    def dx_normalized(basis: EigenBasis) -> np.ndarray:
-        norms = np.sqrt(dx * np.sum(basis.vectors**2, axis=0))
-        return basis.vectors / norms
-
-    cache: dict[str, tuple[SymTridiagonal, np.ndarray, np.ndarray]] = {}
+    diagonal = None
     reports = []
     bounds = schedule.boundaries
     for j in range(schedule.slices):
         t_a, t_b = bounds[j], bounds[j + 1]
         dt = t_b - t_a
-        v_avg = _averaged_potential(h, grid, t_a, t_b, schedule.averaging)
-        key = _slice_key(v_avg)
-        refreshed = True
-        if refresh_policy == "cache" and key in cache:
-            matrix, vectors, energies = cache[key]
-            refreshed = False
-        else:
-            matrix = from_potential_samples(h, grid, v_avg)
+        matrix = stepwise_hamiltonian(h, grid, t_a, t_b, schedule.averaging)
+        # only the diagonal depends on the slice
+        refreshed = diagonal is None or not np.array_equal(matrix.diagonal, diagonal)
+        if refreshed:
             try:
                 basis = eigendecompose(matrix, grid, truncation)
             except RuntimeError as exc:
                 raise RuntimeError("eigensolver failed at slice %d" % j) from exc
-            vectors = dx_normalized(basis)
+            # Project and rebuild in the uniform-dx metric, in which the
+            # discretized H is exactly self-adjoint, so a full-basis step is
+            # an isometry to rounding.  The trapezoidal metric of reported
+            # norms and observables differs only at the two wall nodes,
+            # where physical states vanish.
+            vectors = basis.vectors / np.sqrt(dx * np.sum(basis.vectors**2, axis=0))
             energies = basis.energies
-            if refresh_policy == "cache":
-                cache[key] = (matrix, vectors, energies)
+            diagonal = matrix.diagonal
 
         coeffs = vectors.T @ psi * dx
         coeffs = coeffs * np.exp(-1j * energies * dt / h.hbar)

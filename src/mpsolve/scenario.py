@@ -185,13 +185,32 @@ def _parse_potential(section: Any, errors: list[str]) -> tuple[PotentialSpec, Sc
     return fallback
 
 
+def _finite(parse):
+    def number(token: str):
+        val = parse(token)
+        if not math.isfinite(val):  # OverflowError for ints beyond a double
+            raise ValueError("%s is not a finite double" % token)
+        return val
+    return number
+
+
+def _section(raw: dict, key: str, errors: list[str]) -> dict:
+    """raw[key] if it is an object, {} if absent, else a violation."""
+    val = raw.get(key, {})
+    if isinstance(val, dict):
+        return val
+    errors.append("%s: expected an object" % key)
+    return {}
+
+
 def parse_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; raises ScenarioError listing every
     violation found."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+            raw = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
+        except (ValueError, OverflowError) as exc:
             raise ScenarioError(["not valid JSON: %s" % exc])
     if not isinstance(raw, dict):
         raise ScenarioError(["top level must be a JSON object"])
@@ -201,8 +220,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
                       "initial_state", "outputs", "reference", "dirac"},
                 "top level", errors)
 
-    grid_cfg = {**DEFAULT_GRID, **raw.get("grid", {})}
-    _check_keys(raw.get("grid", {}), {"x_min", "x_max", "points"}, "grid", errors)
+    grid_cfg = {**DEFAULT_GRID, **_section(raw, "grid", errors)}
+    _check_keys(grid_cfg, {"x_min", "x_max", "points"}, "grid", errors)
     x_min = _num(grid_cfg, "x_min", "grid", errors)
     x_max = _num(grid_cfg, "x_max", "grid", errors)
     points = _num(grid_cfg, "points", "grid", errors, integer=True)
@@ -210,9 +229,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
         errors.append("grid.points: must be >= 3")
     if x_min is not None and x_max is not None and not x_min < x_max:
         errors.append("grid: x_min must be < x_max")
+    grid_ok = None not in (x_min, x_max, points) and points >= 3 and x_min < x_max
+    grid = Grid(x_min, x_max, points) if grid_ok else None
 
-    units_cfg = {**DEFAULT_UNITS, **raw.get("units", {})}
-    _check_keys(raw.get("units", {}), {"hbar", "mass"}, "units", errors)
+    units_cfg = {**DEFAULT_UNITS, **_section(raw, "units", errors)}
+    _check_keys(units_cfg, {"hbar", "mass"}, "units", errors)
     hbar = _num(units_cfg, "hbar", "units", errors, positive=True)
     mass = _num(units_cfg, "mass", "units", errors, positive=True)
 
@@ -234,7 +255,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     if averaging not in ("integral", "midpoint_endpoint_mean"):
         errors.append("schedule.averaging: must be integral or midpoint_endpoint_mean")
 
-    basis_cfg = raw.get("basis", {})
+    basis_cfg = _section(raw, "basis", errors)
     _check_keys(basis_cfg, {"truncation"}, "basis", errors)
     truncation: int | None = DEFAULT_TRUNCATION
     if "truncation" in basis_cfg:
@@ -244,7 +265,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
             truncation = _num(basis_cfg, "truncation", "basis", errors,
                               integer=True, positive=True)
 
-    init = raw.get("initial_state", {"eigenstate": 0})
+    init = _section(raw, "initial_state", errors)
     _check_keys(init, {"eigenstate", "amplitude_file"}, "initial_state", errors)
     eigenstate = None
     amplitude_file = None
@@ -264,20 +285,28 @@ def parse_scenario(path: str) -> ScenarioConfig:
                           default=0, integer=True)
         if eigenstate is not None and eigenstate < 0:
             errors.append("initial_state.eigenstate: must be >= 0")
+        if eigenstate is not None and points is not None and eigenstate >= points:
+            errors.append("initial_state.eigenstate: must be < grid.points")
 
-    outputs = raw.get("outputs", {})
+    outputs = _section(raw, "outputs", errors)
     _check_keys(outputs, {"directory", "emit"}, "outputs", errors)
     out_dir = outputs.get("directory", "out")
-    emit = tuple(outputs.get("emit", list(EMIT_CHOICES)))
+    if not isinstance(out_dir, str):
+        errors.append("outputs.directory: expected a path string")
+    emit = outputs.get("emit", list(EMIT_CHOICES))
+    if not isinstance(emit, list):
+        errors.append("outputs.emit: expected a list")
+        emit = []
     for item in emit:
         if item not in EMIT_CHOICES:
-            errors.append("outputs.emit: unknown output %r" % item)
+            errors.append("outputs.emit: unknown output %r" % (item,))
 
     reference = raw.get("reference", False)
     if not isinstance(reference, bool):
         errors.append("reference: expected true or false")
         reference = False
 
+    covered = [("schedule.t0", t0), ("schedule.t1", t1)]
     dirac_cfg = raw.get("dirac")
     if dirac_cfg is not None:
         if not isinstance(dirac_cfg, dict):
@@ -286,28 +315,45 @@ def parse_scenario(path: str) -> ScenarioConfig:
         else:
             _check_keys(dirac_cfg, {"states", "rk4_steps", "targets", "t1"},
                         "dirac", errors)
-            _num(dirac_cfg, "states", "dirac", errors, integer=True, positive=True)
+            states = _num(dirac_cfg, "states", "dirac", errors, integer=True, positive=True)
             _num(dirac_cfg, "rk4_steps", "dirac", errors, integer=True, positive=True)
             if "t1" in dirac_cfg:
-                _num(dirac_cfg, "t1", "dirac", errors)
+                t_end = _num(dirac_cfg, "t1", "dirac", errors)
+                covered.append(("dirac.t1", t_end))
+                if t_end is not None and t0 is not None and not t0 < t_end:
+                    errors.append("dirac.t1: must be > schedule.t0")
             targets = dirac_cfg.get("targets")
             if not isinstance(targets, list) or not targets or not all(
                 isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in targets
             ):
                 errors.append("dirac.targets: expected a non-empty list of state indices")
+            elif states is not None and max(targets) >= states:
+                errors.append("dirac.targets: every index must be < dirac.states")
+
+    if potential.kind == "tabulated" or profile.kind == "sampled":
+        knots = potential.breakpoints()
+        for name, t in covered:
+            if t is not None and not knots[0] <= t <= knots[-1]:
+                errors.append("potential: samples span [%g, %g], not %s = %g"
+                              % (knots[0], knots[-1], name, t))
+    if potential.kind == "tabulated" and grid is not None and not (
+        potential.x_samples.shape == (grid.points,)
+        and np.allclose(potential.x_samples, grid.x, rtol=0, atol=1e-12)
+    ):
+        errors.append("potential.x_samples: must be the grid nodes")
 
     if errors:
         raise ScenarioError(errors)
 
     return ScenarioConfig(
         raw=raw,
-        grid=Grid(x_min, x_max, points),
+        grid=grid,
         hamiltonian=HamiltonianSpec(mass, hbar, potential),
         profile=profile,
         t0=t0, t1=t1, slices=slices, averaging=averaging,
         truncation=truncation,
         eigenstate=eigenstate, amplitude_file=amplitude_file,
-        out_dir=out_dir, emit=emit, reference=reference, dirac=dirac_cfg,
+        out_dir=out_dir, emit=tuple(emit), reference=reference, dirac=dirac_cfg,
     )
 
 

@@ -9,7 +9,6 @@ from mpsolve import (
     PotentialSpec,
     ScaleProfile,
     WaveFunction,
-    evaluate_potential,
     hermite_eigenfunction,
     inner_product,
     norm_squared,
@@ -112,13 +111,6 @@ class TestScaleProfile:
         with pytest.raises(ValueError):
             ScaleProfile.step(-1.0)
 
-    def test_exact_averages(self):
-        s = ScaleProfile.step(0.5, t_on=1.0)
-        assert s.average(0.0, 2.0) == pytest.approx(0.75)
-        p = ScaleProfile.pulse(2.0, 1.0, 3.0)
-        assert p.average(0.0, 4.0) == pytest.approx(1.5)
-        assert p.average(1.0, 3.0) == pytest.approx(2.0)
-
     def test_sampled_interpolates_and_rejects_out_of_range(self):
         s = ScaleProfile.sampled([0.0, 1.0], [1.0, 2.0])
         assert s(0.5) == pytest.approx(1.5)
@@ -129,17 +121,17 @@ class TestScaleProfile:
 class TestEvaluatePotential:
     def test_harmonic(self):
         h = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
-        assert evaluate_potential(h, 2.0, 17.0) == pytest.approx(2.0)
+        assert h.potential.evaluate(2.0, 17.0) == pytest.approx(2.0)
 
     def test_scaled_harmonic_step(self):
         prof = ScaleProfile.step(0.25, t_on=0.0)
         h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
-        assert evaluate_potential(h, 2.0, 1.0) == pytest.approx(0.5)
+        assert h.potential.evaluate(2.0, 1.0) == pytest.approx(0.5)
 
     def test_scaled_harmonic_pulse_after_t_off(self):
         prof = ScaleProfile.pulse(0.81, 0.0, 1.0)
         h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
-        assert evaluate_potential(h, 2.0, 5.0) == pytest.approx(2.0)
+        assert h.potential.evaluate(2.0, 5.0) == pytest.approx(2.0)
 
     def test_scaled_harmonic_with_unit_profile_matches_harmonic(self):
         plain = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(2.0))
@@ -157,6 +149,6 @@ class TestEvaluatePotential:
         pot = PotentialSpec.tabulated(g.x, [0.0, 1.0], [v0, v1])
         h = HamiltonianSpec(1.0, 1.0, pot)
         assert np.allclose(h.potential_on_grid(g, 0.5), 0.5 * g.x**2)
-        assert evaluate_potential(h, 1.0, 1.0) == pytest.approx(1.0)
+        assert h.potential.evaluate(1.0, 1.0) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="time out of range"):
-            evaluate_potential(h, 0.0, 2.0)
+            h.potential.evaluate(0.0, 2.0)

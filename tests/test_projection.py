@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from mpsolve import (
     Grid,
@@ -20,9 +24,52 @@ from mpsolve import (
     reconstruct,
     stepwise_hamiltonian,
 )
+from mpsolve.projection import SliceSchedule
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
+SMALL = Grid(-2.0, 2.0, 9)
+
+
+def smooth_ramp_hamiltonian():
+    ts = np.linspace(0.0, 2.0, 801)
+    prof = ScaleProfile.sampled(ts, 1 + 0.5 * np.sin(np.pi * ts / 2.0) ** 2)
+    return HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
+
+
+@st.composite
+def averaging_cases(draw):
+    """(kind, times, values, t_a, t_b): a step, pulse, sampled or tabulated
+    potential on SMALL and a slice t_a < t_b inside its time range."""
+    kind = draw(st.sampled_from(("step", "pulse", "sampled", "tabulated")))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12))
+    times = np.cumsum([draw(st.floats(-1.0, 1.0))] + gaps).tolist()
+    scale = st.floats(0.1, 5.0)
+    if kind in ("step", "pulse"):
+        times = times[:1] if kind == "step" else times[:2]
+        values = [draw(scale)]
+        lo, hi = -3.0, 4.0
+    else:
+        row = (scale if kind == "sampled" else
+               st.lists(st.floats(-5.0, 5.0), min_size=9, max_size=9))
+        values = draw(st.lists(row, min_size=len(times), max_size=len(times)))
+        lo, hi = times[0], times[-1]
+    t_a, t_b = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+    assume(t_a < t_b)
+    return kind, times, values, t_a, t_b
+
+
+def reference_potential(kind, times, values, t):
+    """V(x, t) on SMALL, written independently of PotentialSpec."""
+    if kind == "tabulated":
+        return np.array([np.interp(t, times, col) for col in np.array(values).T])
+    if kind == "sampled":
+        s = np.interp(t, times, values)
+    elif kind == "step":
+        s = values[0] if t > times[0] else 1.0
+    else:
+        s = values[0] if times[0] < t < times[1] else 1.0
+    return 0.5 * s * SMALL.x**2
 
 
 def quench_hamiltonian(eta):
@@ -79,6 +126,30 @@ class TestStepwiseHamiltonian:
         for mode in ("integral", "midpoint_endpoint_mean"):
             m = stepwise_hamiltonian(h, g, 0.0, 1.0, mode)
             assert np.allclose(m.diagonal - kin, 0.5 * g.x**2, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(averaging_cases())
+    @example(("step", [1.0], [0.5], 0.0, 2.0))      # S-bar 0.75
+    @example(("pulse", [1.0, 3.0], [2.0], 0.0, 4.0))  # S-bar 1.5
+    @example(("pulse", [1.0, 3.0], [2.0], 1.0, 3.0))  # S-bar 2.0
+    def test_integral_average_is_exact(self, case):
+        kind, times, values, t_a, t_b = case
+        if kind == "tabulated":
+            pot = PotentialSpec.tabulated(SMALL.x, times, values)
+        elif kind == "sampled":
+            pot = PotentialSpec.scaled_harmonic(1.0, ScaleProfile.sampled(times, values))
+        else:
+            switch = ScaleProfile.step if kind == "step" else ScaleProfile.pulse
+            pot = PotentialSpec.scaled_harmonic(1.0, switch(values[0], *times))
+        got = (stepwise_hamiltonian(HamiltonianSpec(1.0, 1.0, pot), SMALL, t_a, t_b)
+               .diagonal - 1.0 / SMALL.dx**2)
+        inside = [t for t in times if t_a < t < t_b] or None
+        want = np.array([
+            quad(lambda t: reference_potential(kind, times, values, t)[i], t_a, t_b,
+                 points=inside, limit=100, epsabs=5e-13 * (t_b - t_a), epsrel=1e-13)[0]
+            for i in range(SMALL.points)]) / (t_b - t_a)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_step_slice_after_switch_is_exactly_quenched(self):
         h = quench_hamiltonian(0.25)
@@ -206,21 +277,39 @@ class TestEvolve:
         for before, after in zip(norms[:-1], norms[1:]):
             assert after <= before + 1e-12
 
-    def test_refresh_policy_bit_identical(self, ground):
+    def test_basis_reuse_matches_fresh_solves(self, ground):
         h = quench_hamiltonian(0.81)
         schedule = build_schedule(0.0, 2.0, 8, h.potential.profile)
-        cached = evolve(ground, h, schedule, truncation=32, refresh_policy="cache")
-        fresh = evolve(ground, h, schedule, truncation=32, refresh_policy="always")
-        assert np.array_equal(cached.final_state.amplitudes,
-                              fresh.final_state.amplitudes)
-        assert not all(r.basis_refreshed for r in cached.reports)
-        assert all(r.basis_refreshed for r in fresh.reports)
+        whole = evolve(ground, h, schedule, truncation=32)
+        assert [r.basis_refreshed for r in whole.reports] == [True] + [False] * 7
+        psi = ground
+        for j in range(schedule.slices):
+            one = evolve(psi, h, SliceSchedule(schedule.boundaries[j:j + 2]),
+                         truncation=32)
+            assert one.reports[0].basis_refreshed
+            assert np.array_equal(one.reports[0].coefficients,
+                                  whole.reports[j].coefficients)
+            psi = one.final_state
+        assert np.array_equal(psi.amplitudes, whole.final_state.amplitudes)
+
+    def test_memory_bounded_in_slice_count(self):
+        g = Grid(-12.0, 12.0, 512)
+        h = smooth_ramp_hamiltonian()
+        psi0 = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                evolve(psi0, h, build_schedule(0.0, 2.0, n), truncation=48)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) < 1.5 * peak(64)
 
     def test_slice_refinement_second_order(self):
         g = Grid(-12.0, 12.0, 512)
-        ts = np.linspace(0.0, 2.0, 801)
-        prof = ScaleProfile.sampled(ts, 1 + 0.5 * np.sin(np.pi * ts / 2.0) ** 2)
-        h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
+        h = smooth_ramp_hamiltonian()
         psi0 = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
         ref = evolve(psi0, h, build_schedule(0.0, 2.0, 256), truncation=48).final_state
 

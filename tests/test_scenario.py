@@ -1,10 +1,15 @@
 """Tests for scenario parsing, the run/converge/compare drivers, and the CLI."""
 
+import copy
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsolve.cli import main as cli_main
 from mpsolve.scenario import (
@@ -86,6 +91,115 @@ class TestParse:
         path.write_text("{not json")
         with pytest.raises(ScenarioError, match="not valid JSON"):
             parse_scenario(str(path))
+
+
+def tabulated_doc(t_samples=(0.0, 2.0), x_samples=None):
+    xs = np.linspace(-2.0, 2.0, 9) if x_samples is None else np.asarray(x_samples)
+    return {
+        "grid": {"x_min": -2.0, "x_max": 2.0, "points": 9},
+        "potential": {"kind": "tabulated", "x_samples": xs.tolist(),
+                      "t_samples": list(t_samples),
+                      "v_samples": [(0.5 * xs**2).tolist()] * len(t_samples)},
+        "schedule": {"t0": 0.0, "t1": 2.0, "slices": 4},
+        "basis": {"truncation": 4},
+    }
+
+
+def smooth_ramp_doc():
+    with open(bundled_scenario_path("smooth_ramp"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def with_change(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def json_paths(node, prefix=()):
+    """Path of every section and leaf under node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+class TestValidate:
+    @pytest.mark.parametrize("doc, violation", [
+        (with_change(smooth_ramp_doc(), ("schedule", "t1"), 3.0),
+         "potential: samples span [0, 2], not schedule.t1 = 3"),
+        (with_change(smooth_ramp_doc(), ("schedule", "t0"), -1.0),
+         "potential: samples span [0, 2], not schedule.t0 = -1"),
+        (tabulated_doc(t_samples=(0.0, 1.0)),
+         "potential: samples span [0, 1], not schedule.t1 = 2"),
+        (with_change(tabulated_doc(), ("dirac",),
+                     {"states": 4, "rk4_steps": 10, "targets": [2], "t1": 5.0}),
+         "potential: samples span [0, 2], not dirac.t1 = 5"),
+        (tabulated_doc(x_samples=np.linspace(-2.0, 2.0, 9) + 0.01),
+         "potential.x_samples: must be the grid nodes"),
+        (tabulated_doc(x_samples=[0.0, 1.0]),
+         "potential.x_samples: must be the grid nodes"),
+    ])
+    def test_time_and_grid_coverage(self, tmp_path, capsys, doc, violation):
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
+        assert "invalid scenario: %s" % violation in capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("path, value, violation", [
+        (("dirac",), {"states": 16, "rk4_steps": 60, "targets": [2, 16]},
+         "dirac.targets: every index must be < dirac.states"),
+        (("dirac",), {"states": 16, "rk4_steps": 60, "targets": [2], "t1": -1.0},
+         "dirac.t1: must be > schedule.t0"),
+        (("initial_state", "eigenstate"), 1024,
+         "initial_state.eigenstate: must be < grid.points"),
+        (("grid",), [1, 2], "grid: expected an object"),
+        (("units",), 1.0, "units: expected an object"),
+        (("basis",), "big", "basis: expected an object"),
+        (("initial_state",), [0], "initial_state: expected an object"),
+        (("outputs",), None, "outputs: expected an object"),
+        (("outputs", "emit"), "energy", "outputs.emit: expected a list"),
+        (("outputs", "directory"), 7, "outputs.directory: expected a path string"),
+    ])
+    def test_bad_shapes_and_indices(self, tmp_path, path, value, violation):
+        doc = with_change(quench_doc(), path, value)
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert violation in excinfo.value.violations
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                         "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "float_overflow", "int_overflow"])
+    def test_non_finite_numbers_rejected(self, tmp_path, literal):
+        text = json.dumps(quench_doc()).replace('"eta": 0.25', '"eta": ' + literal)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            parse_scenario(str(path))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_swapped_value_is_valid_or_a_violation(self, data):
+        doc = data.draw(st.sampled_from([
+            with_change(quench_doc(), ("dirac",),
+                        {"states": 16, "rk4_steps": 60, "targets": [2], "t1": 3.0}),
+            smooth_ramp_doc(),
+            tabulated_doc(),
+        ]))
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        value = data.draw(st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda kids: st.lists(kids, max_size=4)
+            | st.dictionaries(st.text(), kids, max_size=4),
+            max_leaves=8))
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = write_scenario(Path(tmp), with_change(doc, path, value))
+            try:
+                parse_scenario(scenario)
+            except ScenarioError:
+                pass
 
 
 class TestRun:
