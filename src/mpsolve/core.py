@@ -1,6 +1,11 @@
 """Foundational value types: spatial grid, wavefunctions, Hamiltonian
-specifications, and the trapezoidal inner-product primitives used everywhere
-else in the package.
+specifications, and the inner product used everywhere else in the package.
+
+The package has one metric, <a|b> = dx * sum_i conj(a_i) b_i over the grid
+nodes.  The discretized Hamiltonian is a real symmetric matrix, so it is
+self-adjoint in this metric and projection between its eigenbases is
+unitary; wavefunctions vanish outside the box, so the hard walls add no
+endpoint correction.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to share between threads.
@@ -52,12 +57,8 @@ class Grid:
 
     @property
     def weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights: dx in the interior, dx/2 at the
-        two endpoints."""
-        w = np.full(self.points, self.dx)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        """Weights of the package metric: dx at every node."""
+        return np.full(self.points, self.dx)
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,16 @@ class WaveFunction:
 
 
 def inner_product(bra: WaveFunction, ket: WaveFunction) -> complex:
-    """Discrete <bra|ket> with the conjugate on the first argument,
-    using trapezoidal weights on the shared grid."""
+    """Discrete <bra|ket> = dx * sum conj(bra) ket, with the conjugate on
+    the first argument."""
     if bra.grid != ket.grid:
         raise ValueError("incompatible grids")
-    w = bra.grid.weights
-    return complex(np.sum(np.conj(bra.amplitudes) * ket.amplitudes * w))
+    return complex(np.vdot(bra.amplitudes, ket.amplitudes) * bra.grid.dx)
 
 
 def norm_squared(psi: WaveFunction) -> float:
-    """<psi|psi>, real and non-negative by construction."""
-    w = psi.grid.weights
-    return float(np.sum(np.abs(psi.amplitudes) ** 2 * w))
+    """<psi|psi> = dx * sum |psi|^2, real and non-negative by construction."""
+    return float(np.vdot(psi.amplitudes, psi.amplitudes).real * psi.grid.dx)
 
 
 @dataclass(frozen=True)

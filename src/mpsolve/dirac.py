@@ -51,7 +51,8 @@ class DivergenceReport:
 def perturbation_elements(h: HamiltonianSpec, basis: EigenBasis, t: float,
                           t0: float = 0.0) -> np.ndarray:
     """Matrix elements V_km(t) = <k| V(x,t) - V(x,t0) |m> over the retained
-    basis, by trapezoidal quadrature.  Real symmetric for scalar potentials."""
+    basis in the package inner product (weights `grid.weights`).  Real
+    symmetric for scalar potentials."""
     grid = basis.source_grid
     dv = h.potential_on_grid(grid, t) - h.potential_on_grid(grid, t0)
     weighted = basis.vectors * (grid.weights * dv)[:, None]

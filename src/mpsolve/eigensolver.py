@@ -53,9 +53,9 @@ class SymTridiagonal:
 class EigenBasis:
     """Lowest-M eigenpairs of one frozen Hamiltonian.
 
-    `vectors` has shape (N, M), one state per column, normalized so the
-    trapezoidal inner product of a state with itself is 1 and sign-fixed so
-    the first component above 1e-8 in magnitude is positive.
+    `vectors` has shape (N, M), one state per column, orthonormal in the
+    package metric (dx * sum v_j v_k = delta_jk) and sign-fixed so the first
+    component above 1e-8 in magnitude is positive.
     """
 
     energies: np.ndarray
@@ -99,8 +99,9 @@ def eigendecompose(m: SymTridiagonal, grid: Grid,
                    truncation: int | None = None) -> EigenBasis:
     """Lowest `truncation` eigenpairs (all of them when None).
 
-    Eigenvectors come out l2-normalized from LAPACK and are rescaled so the
-    trapezoidal inner product gives 1, then sign-fixed for reproducibility.
+    Eigenvectors come out l2-normalized from LAPACK and are divided by
+    sqrt(dx) so the package inner product gives 1, then sign-fixed for
+    reproducibility.
     """
     if grid.points != m.size:
         raise ValueError("grid does not match matrix dimension")
@@ -119,9 +120,7 @@ def eigendecompose(m: SymTridiagonal, grid: Grid,
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise RuntimeError("eigensolver did not converge") from exc
 
-    w = grid.weights
-    norms = np.sqrt(np.einsum("i,ik->k", w, vectors**2))
-    vectors = vectors / norms
+    vectors = vectors / np.sqrt(grid.dx)
 
     for k in range(vectors.shape[1]):
         col = vectors[:, k]

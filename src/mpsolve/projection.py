@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, HamiltonianSpec, ScaleProfile, WaveFunction
+from .core import Grid, HamiltonianSpec, ScaleProfile, WaveFunction, inner_product, norm_squared
 from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, tridiagonal_hamiltonian
 
 __all__ = [
@@ -124,11 +124,10 @@ def stepwise_hamiltonian(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
 
 
 def project(psi: WaveFunction, basis: EigenBasis) -> np.ndarray:
-    """Coefficients C_k = <k|psi> in the trapezoidal inner product."""
+    """Coefficients C_k = <k|psi> in the package inner product."""
     if psi.grid != basis.source_grid:
         raise ValueError("incompatible grids")
-    w = psi.grid.weights
-    return basis.vectors.T @ (w * psi.amplitudes)
+    return basis.vectors.T @ (psi.grid.weights * psi.amplitudes)
 
 
 def reconstruct(coefficients: np.ndarray, basis: EigenBasis,
@@ -146,16 +145,14 @@ def reconstruct(coefficients: np.ndarray, basis: EigenBasis,
 
 
 def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:
-    """<psi|H|psi> / <psi|psi> with the trapezoidal metric."""
+    """<psi|H|psi> / <psi|psi> in the package inner product."""
     if psi.grid.points != m.size:
         raise ValueError("state does not match matrix dimension")
-    w = psi.grid.weights
-    amps = psi.amplitudes
-    nsq = float(np.sum(np.abs(amps) ** 2 * w))
+    nsq = norm_squared(psi)
     if nsq == 0.0:
         raise ValueError("zero-norm state has no energy expectation")
-    h_amps = m.matvec(amps)
-    return float(np.real(np.sum(np.conj(amps) * h_amps * w)) / nsq)
+    h_psi = WaveFunction(psi.grid, m.matvec(psi.amplitudes))
+    return inner_product(psi, h_psi).real / nsq
 
 
 def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
@@ -170,11 +167,9 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     expectation of the slice just completed.
     """
     grid = psi0.grid
-    psi = psi0.amplitudes.copy()
-    if not np.all(np.isfinite(psi)):
+    state = psi0
+    if not np.all(np.isfinite(state.amplitudes)):
         raise ValueError("non-finite state")
-    w = grid.weights
-    dx = grid.dx
 
     diagonal = None
     reports = []
@@ -190,32 +185,22 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
                 basis = eigendecompose(matrix, grid, truncation)
             except RuntimeError as exc:
                 raise RuntimeError("eigensolver failed at slice %d" % j) from exc
-            # Project and rebuild in the uniform-dx metric, in which the
-            # discretized H is exactly self-adjoint, so a full-basis step is
-            # an isometry to rounding.  The trapezoidal metric of reported
-            # norms and observables differs only at the two wall nodes,
-            # where physical states vanish.
-            vectors = basis.vectors / np.sqrt(dx * np.sum(basis.vectors**2, axis=0))
-            energies = basis.energies
             diagonal = matrix.diagonal
 
-        coeffs = vectors.T @ psi * dx
-        coeffs = coeffs * np.exp(-1j * energies * dt / h.hbar)
-        psi = vectors @ coeffs
-        if not np.all(np.isfinite(psi)):
+        coeffs = project(state, basis) * np.exp(-1j * basis.energies * dt / h.hbar)
+        state = reconstruct(coeffs, basis)
+        if not np.all(np.isfinite(state.amplitudes)):
             raise RuntimeError("non-finite state at slice %d" % j)
 
-        state = WaveFunction(grid, psi)
         reports.append(ProjectionStepReport(
             slice_index=j,
             t_end=float(t_b),
             coefficients=coeffs,
-            norm_squared=float(np.sum(np.abs(psi) ** 2 * w)),
+            norm_squared=norm_squared(state),
             energy=intermediate_energy(state, matrix),
             basis_refreshed=refreshed,
         ))
 
-    final = WaveFunction(grid, psi)
-    final_coeffs = project(final, final_basis) if final_basis is not None else None
-    return EvolutionResult(final_state=final, reports=tuple(reports),
+    final_coeffs = project(state, final_basis) if final_basis is not None else None
+    return EvolutionResult(final_state=state, reports=tuple(reports),
                            final_basis=final_basis, final_coefficients=final_coeffs)

@@ -16,15 +16,17 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
 from . import dirac as dirac_mod
-from .core import Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunction, inner_product
-from .eigensolver import EigenBasis, discretize, eigendecompose
-from .projection import EvolutionResult, build_schedule, evolve, project, stepwise_hamiltonian
+from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunction,
+                   inner_product, norm_squared)
+from .eigensolver import discretize, eigendecompose
+from .projection import AVERAGING_MODES, EvolutionResult, build_schedule, evolve, project
 
 __all__ = [
     "ScenarioConfig",
@@ -68,7 +70,7 @@ class ScenarioConfig:
     averaging: str
     truncation: int | None
     eigenstate: int | None
-    amplitude_file: str | None
+    amplitudes: np.ndarray | None
     out_dir: str
     emit: tuple[str, ...]
     reference: bool
@@ -203,6 +205,35 @@ def _section(raw: dict, key: str, errors: list[str]) -> dict:
     return {}
 
 
+def _read_amplitudes(path: str, points: int | None,
+                     errors: list[str]) -> np.ndarray | None:
+    """Initial amplitudes from a CSV with `re` and `im` columns, one row per
+    grid node; None with a violation recorded if the file is unusable."""
+    where = "initial_state.amplitude_file"
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        errors.append("%s: cannot read: %s" % (where, exc))
+        return None
+    if not {"re", "im"} <= set(reader.fieldnames or ()):
+        errors.append("%s: needs 're' and 'im' columns" % where)
+        return None
+    try:
+        amps = np.array([complex(float(row["re"]), float(row["im"])) for row in rows])
+    except (TypeError, ValueError):
+        errors.append("%s: every 're' and 'im' value must be a number" % where)
+        return None
+    if not np.all(np.isfinite(amps)):
+        errors.append("%s: every 're' and 'im' value must be finite" % where)
+        return None
+    if points is not None and amps.size != points:
+        errors.append("%s: %d rows, but grid.points is %d" % (where, amps.size, points))
+        return None
+    return amps
+
+
 def parse_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; raises ScenarioError listing every
     violation found."""
@@ -252,8 +283,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     if t0 is not None and t1 is not None and not t0 < t1:
         errors.append("schedule: t0 must be < t1")
     averaging = sched.get("averaging", "integral")
-    if averaging not in ("integral", "midpoint_endpoint_mean"):
-        errors.append("schedule.averaging: must be integral or midpoint_endpoint_mean")
+    if averaging not in AVERAGING_MODES:
+        errors.append("schedule.averaging: must be one of %s" % "/".join(AVERAGING_MODES))
 
     basis_cfg = _section(raw, "basis", errors)
     _check_keys(basis_cfg, {"truncation"}, "basis", errors)
@@ -268,7 +299,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     init = _section(raw, "initial_state", errors)
     _check_keys(init, {"eigenstate", "amplitude_file"}, "initial_state", errors)
     eigenstate = None
-    amplitude_file = None
+    amplitudes = None
     if "eigenstate" in init and "amplitude_file" in init:
         errors.append("initial_state: ambiguous initial state "
                       "(both eigenstate and amplitude_file given)")
@@ -279,7 +310,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
         elif not os.path.exists(os.path.join(os.path.dirname(path), amplitude_file)):
             errors.append("initial_state.amplitude_file: file not found")
         else:
-            amplitude_file = os.path.join(os.path.dirname(path), amplitude_file)
+            amplitudes = _read_amplitudes(
+                os.path.join(os.path.dirname(path), amplitude_file), points, errors)
     else:
         eigenstate = _num(init, "eigenstate", "initial_state", errors,
                           default=0, integer=True)
@@ -352,7 +384,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         profile=profile,
         t0=t0, t1=t1, slices=slices, averaging=averaging,
         truncation=truncation,
-        eigenstate=eigenstate, amplitude_file=amplitude_file,
+        eigenstate=eigenstate, amplitudes=amplitudes,
         out_dir=out_dir, emit=tuple(emit), reference=reference, dirac=dirac_cfg,
     )
 
@@ -361,24 +393,44 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _write_csv(fh: TextIO, header: list[str], rows) -> None:
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                          for v in row) + "\n")
+
+
+def _write_json(fh: TextIO, doc: dict) -> None:
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
+
+
+@contextmanager
+def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
+    """Body of a driver that writes into `directory`.  Yields `create(name)`,
+    which opens a file there for writing and records its path once the file
+    exists.  A solver or I/O failure in the body removes the recorded files,
+    and only those, and is raised as EngineError."""
+    written: list[str] = []
+
+    def create(name: str) -> TextIO:
+        path = os.path.join(directory, name)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+        written.append(path)
+        return fh
+
+    try:
+        os.makedirs(directory, exist_ok=True)
+        yield create
+    except (RuntimeError, ValueError, OSError, KeyError) as exc:
+        for path in written:
+            os.remove(path)
+        raise EngineError(str(exc)) from exc
 
 
 def _initial_state(config: ScenarioConfig) -> WaveFunction:
-    if config.amplitude_file is not None:
-        with open(config.amplitude_file, "r", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            re_vals, im_vals = [], []
-            for row in reader:
-                re_vals.append(float(row["re"]))
-                im_vals.append(float(row["im"]))
-        amps = np.array(re_vals) + 1j * np.array(im_vals)
-        return WaveFunction(config.grid, amps)
+    if config.amplitudes is not None:
+        return WaveFunction(config.grid, config.amplitudes)
     n = config.eigenstate
     basis = eigendecompose(discretize(config.hamiltonian, config.grid, config.t0),
                            config.grid, n + 1)
@@ -417,13 +469,11 @@ def _run_evolution(config: ScenarioConfig) -> EvolutionResult:
 
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSummary:
     """Evolve the scenario and write energy.csv / coefficients.csv /
-    summary.json (per the emit list).  Partial files are removed if the
-    engine fails."""
+    summary.json (per the emit list).  Files written before a failure are
+    removed."""
     out = out_dir if out_dir is not None else config.out_dir
-    os.makedirs(out, exist_ok=True)
-    written: list[str] = []
     start = time.perf_counter()
-    try:
+    with _output_files(out) as create:
         result = _run_evolution(config)
 
         phase = None
@@ -446,42 +496,31 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         )
 
         if "energy" in config.emit:
-            path = os.path.join(out, "energy.csv")
-            written.append(path)
-            _write_csv(path, ["t_end", "energy", "norm"],
-                       [(r.t_end, r.energy, r.norm_squared) for r in result.reports])
+            with create("energy.csv") as fh:
+                _write_csv(fh, ["t_end", "energy", "norm"],
+                           [(r.t_end, r.energy, r.norm_squared) for r in result.reports])
         if "coefficients" in config.emit:
-            path = os.path.join(out, "coefficients.csv")
-            written.append(path)
             rows = []
             for r in result.reports:
                 for k, c in enumerate(r.coefficients):
                     rows.append((r.slice_index, k, float(c.real), float(c.imag),
                                  float(abs(c) ** 2)))
-            _write_csv(path, ["slice", "k", "re", "im", "abs2"], rows)
+            with create("coefficients.csv") as fh:
+                _write_csv(fh, ["slice", "k", "re", "im", "abs2"], rows)
         if "summary" in config.emit:
-            path = os.path.join(out, "summary.json")
-            written.append(path)
-            doc = {
-                "scenario_hash": summary.scenario_hash,
-                "final_energy_ratio": summary.final_energy_ratio,
-                "final_norm": summary.final_norm,
-                "final_coefficients": [
-                    [k, float(c.real), float(c.imag)]
-                    for k, c in enumerate(summary.final_coefficients)
-                ],
-                "phase_vs_reference": summary.phase_vs_reference,
-                "wall_time_s": summary.wall_time_s,
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+            with create("summary.json") as fh:
+                _write_json(fh, {
+                    "scenario_hash": summary.scenario_hash,
+                    "final_energy_ratio": summary.final_energy_ratio,
+                    "final_norm": summary.final_norm,
+                    "final_coefficients": [
+                        [k, float(c.real), float(c.imag)]
+                        for k, c in enumerate(summary.final_coefficients)
+                    ],
+                    "phase_vs_reference": summary.phase_vs_reference,
+                    "wall_time_s": summary.wall_time_s,
+                })
         return summary
-    except (RuntimeError, ValueError, OSError) as exc:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
-        raise EngineError(str(exc)) from exc
 
 
 def converge_scenario(config: ScenarioConfig, doublings: int,
@@ -491,8 +530,7 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     if doublings < 2:
         raise ScenarioError(["converge requires doublings >= 2"])
     out = out_dir if out_dir is not None else config.out_dir
-    os.makedirs(out, exist_ok=True)
-    try:
+    with _output_files(out) as create:
         psi0 = _initial_state(config)
         ladder = [config.slices * 2**i for i in range(doublings + 1)]
         ref_slices = ladder[-1] * 4
@@ -504,12 +542,11 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
                           config.truncation).final_state.amplitudes
 
         ref = final_state(ref_slices)
-        w = config.grid.weights
         rows = []
         errors = []
         for n_slices in ladder:
-            diff = final_state(n_slices) - ref
-            err = float(np.sqrt(np.sum(np.abs(diff) ** 2 * w)))
+            diff = WaveFunction(config.grid, final_state(n_slices) - ref)
+            err = math.sqrt(norm_squared(diff))
             errors.append(err)
             if len(errors) == 1:
                 order = ""
@@ -518,24 +555,22 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
             else:
                 order = _fmt(math.log2(errors[-2] / err))
             rows.append((n_slices, err, order))
-        _write_csv(os.path.join(out, "convergence.csv"),
-                   ["slices", "l2_error", "observed_order"], rows)
+        with create("convergence.csv") as fh:
+            _write_csv(fh, ["slices", "l2_error", "observed_order"], rows)
         return [(n, e) for n, e in zip(ladder, errors)]
-    except (RuntimeError, ValueError, OSError) as exc:
-        raise EngineError(str(exc)) from exc
 
 
 def compare_dirac_scenario(config: ScenarioConfig,
                            out_dir: str | None = None) -> dirac_mod.DivergenceReport:
     """Compare multi-projection, RK4 amplitude-equation, and first-order
     amplitudes per target state; writes dirac_compare.csv, norm_history.csv
-    and divergence_report.json."""
+    and divergence_report.json.  Files written before a failure are
+    removed."""
     if config.dirac is None:
         raise ScenarioError(["compare-dirac requires a 'dirac' section "
                              "(states, rk4_steps, targets)"])
     out = out_dir if out_dir is not None else config.out_dir
-    os.makedirs(out, exist_ok=True)
-    try:
+    with _output_files(out) as create:
         n_states = int(config.dirac["states"])
         rk4_steps = int(config.dirac["rk4_steps"])
         targets = list(config.dirac["targets"])
@@ -572,8 +607,9 @@ def compare_dirac_scenario(config: ScenarioConfig,
 
         rows = []
         for m in targets:
+            # first_order_amplitude integrates over [0, T]; V lives in absolute time
             b_fo = dirac_mod.first_order_amplitude(
-                lambda t, m=m: v_of_t(t)[m, n_init], n_init, m, omegas,
+                lambda t, m=m: v_of_t(t0 + t)[m, n_init], n_init, m, omegas,
                 t_end - t0, quadrature_steps=max(rk4_steps, 1000), hbar=h.hbar,
             ) if m != n_init else complex("nan")
             a_mp = abs(mp_coeffs[m])
@@ -581,29 +617,23 @@ def compare_dirac_scenario(config: ScenarioConfig,
             a_fo = abs(b_fo)
             rows.append((m, a_mp, a_rk, a_fo,
                          abs(a_mp - a_rk), abs(a_mp - a_fo), abs(a_rk - a_fo)))
-        _write_csv(os.path.join(out, "dirac_compare.csv"),
-                   ["m", "abs_c_multiproj", "abs_c_rk4", "abs_b_first_order",
-                    "diff_mp_rk4", "diff_mp_fo", "diff_rk4_fo"], rows)
+        with create("dirac_compare.csv") as fh:
+            _write_csv(fh, ["m", "abs_c_multiproj", "abs_c_rk4", "abs_b_first_order",
+                            "diff_mp_rk4", "diff_mp_fo", "diff_rk4_fo"], rows)
 
         if traj is not None:
             norms = traj.norm_history
-            _write_csv(os.path.join(out, "norm_history.csv"), ["t", "norm"],
-                       list(zip(traj.times.tolist(), norms.tolist())))
+            with create("norm_history.csv") as fh:
+                _write_csv(fh, ["t", "norm"],
+                           list(zip(traj.times.tolist(), norms.tolist())))
             report = dirac_mod.divergence_diagnostic(traj)
         else:
             report = dirac_mod.DivergenceReport(math.inf, math.inf, float(t0))
-        with open(os.path.join(out, "divergence_report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"max_norm": report.max_norm,
-                       "final_norm": report.final_norm,
-                       "first_exceedance_time": report.first_exceedance_time},
-                      fh, indent=2)
-            fh.write("\n")
+        with create("divergence_report.json") as fh:
+            _write_json(fh, {"max_norm": report.max_norm,
+                             "final_norm": report.final_norm,
+                             "first_exceedance_time": report.first_exceedance_time})
         return report
-    except ScenarioError:
-        raise
-    except (RuntimeError, ValueError, OSError, KeyError) as exc:
-        raise EngineError(str(exc)) from exc
 
 
 def bundled_scenario_path(name: str) -> str:

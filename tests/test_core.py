@@ -35,9 +35,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 2)
 
-    def test_weights_are_trapezoidal(self):
+    def test_weights_are_uniform(self):
         g = Grid(0.0, 1.0, 5)
-        assert np.allclose(g.weights, [0.125, 0.25, 0.25, 0.25, 0.125])
+        assert np.array_equal(g.weights, [0.25] * 5)
 
 
 class TestInnerProduct:

@@ -49,7 +49,7 @@ class TestEigendecompose:
         m = SymTridiagonal([1.0, 2.0, 3.0], [0.0, 0.0])
         basis = eigendecompose(m, g)
         assert np.allclose(basis.energies, [1.0, 2.0, 3.0])
-        # states are the standard basis vectors up to the trapezoid rescale
+        # states are the standard basis vectors up to the sqrt(dx) rescale
         dense = basis.vectors * np.sqrt(g.weights)[:, None]
         assert np.allclose(np.abs(dense), np.eye(3), atol=1e-14)
 

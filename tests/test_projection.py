@@ -186,6 +186,18 @@ class TestProjectReconstruct:
         err = math.sqrt(norm_squared(WaveFunction(g, back.amplitudes - psi.amplitudes)))
         assert err < 1e-9
 
+    def test_full_basis_is_orthonormal_and_round_trips_at_the_walls(self):
+        g = Grid(-12.0, 12.0, 256)
+        full = eigendecompose(discretize(HARMONIC, g, 0.0), g)
+        gram = full.vectors.T @ (g.weights[:, None] * full.vectors)
+        assert np.abs(gram - np.eye(g.points)).max() < 1e-12
+        rng = np.random.default_rng(11)
+        psi = WaveFunction(g, rng.normal(size=g.points) + 1j * rng.normal(size=g.points))
+        assert min(abs(psi.amplitudes[0]), abs(psi.amplitudes[-1])) > 0.1
+        back = reconstruct(project(psi, full), full)
+        diff = WaveFunction(g, back.amplitudes - psi.amplitudes)
+        assert math.sqrt(norm_squared(diff) / norm_squared(psi)) < 1e-12
+
     def test_single_coefficient(self, basis64):
         c = np.zeros(64, dtype=complex)
         c[0] = 1.0

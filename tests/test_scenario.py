@@ -162,12 +162,33 @@ class TestValidate:
         (("outputs",), None, "outputs: expected an object"),
         (("outputs", "emit"), "energy", "outputs.emit: expected a list"),
         (("outputs", "directory"), 7, "outputs.directory: expected a path string"),
+        (("schedule", "averaging"), "gauss",
+         "schedule.averaging: must be one of integral/midpoint_endpoint_mean"),
     ])
     def test_bad_shapes_and_indices(self, tmp_path, path, value, violation):
         doc = with_change(quench_doc(), path, value)
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(write_scenario(tmp_path, doc))
         assert violation in excinfo.value.violations
+
+    @pytest.mark.parametrize("text, violation", [
+        ("re\n1.0\n", "needs 're' and 'im' columns"),
+        ("real,imag\n1.0,0.0\n", "needs 're' and 'im' columns"),
+        ("re,im\n1.0,abc\n", "every 're' and 'im' value must be a number"),
+        ("re,im\n1.0\n", "every 're' and 'im' value must be a number"),
+        ("re,im\nnan,0.0\n", "every 're' and 'im' value must be finite"),
+        ("re,im\n1e400,0.0\n", "every 're' and 'im' value must be finite"),
+        ("re,im\n1.0,0.0\n", "1 rows, but grid.points is 64"),
+    ], ids=["no_im", "wrong_names", "non_numeric", "short_row", "nan", "overflow",
+            "wrong_length"])
+    def test_bad_amplitude_file(self, tmp_path, capsys, text, violation):
+        (tmp_path / "amps.csv").write_text(text)
+        doc = with_change(quench_doc(points=64), ("initial_state",),
+                          {"amplitude_file": "amps.csv"})
+        assert cli_main(["run", write_scenario(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert ("invalid scenario: initial_state.amplitude_file: " + violation
+                in capsys.readouterr().err.splitlines())
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
                                          "1" + "0" * 400],
@@ -268,6 +289,29 @@ class TestRun:
         assert np.abs(coeffs - summary.final_coefficients).max() < 1e-12
 
 
+    def test_amplitude_file_read_at_parse_time(self, tmp_path):
+        g = np.linspace(-12.0, 12.0, 64)
+        amps = np.exp(-g**2 / 2) / math.pi**0.25
+        lines = ["re,im"] + ["%r,%r" % (a, 0.5 * a) for a in amps.tolist()]
+        (tmp_path / "amps.csv").write_text("\n".join(lines) + "\n")
+        doc = with_change(quench_doc(points=64), ("initial_state",),
+                          {"amplitude_file": "amps.csv"})
+        cfg = parse_scenario(write_scenario(tmp_path, doc))
+        (tmp_path / "amps.csv").unlink()
+        assert np.array_equal(cfg.amplitudes, amps + 0.5j * amps)
+        run_scenario(cfg, str(tmp_path / "out"))
+
+    def test_output_path_taken_by_directory(self, tmp_path, capsys):
+        doc = quench_doc(points=256)
+        doc["outputs"]["emit"] = ["energy", "coefficients", "summary"]
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        assert cli_main(["run", write_scenario(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("engine failure:") and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+
+
 class TestConverge:
     def test_doublings_validated(self, tmp_path):
         cfg = parse_scenario(write_scenario(tmp_path, quench_doc()))
@@ -318,6 +362,33 @@ class TestCompareDirac:
         assert doc["max_norm"] == report.max_norm
 
 
+    def test_output_path_taken_by_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "divergence_report.json").mkdir(parents=True)
+        code = cli_main(["compare-dirac", bundled_scenario_path("dirac_weak"),
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("engine failure:") and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["divergence_report.json"]
+
+    def test_time_shift_leaves_comparison_unchanged(self, tmp_path):
+        doc = json.loads(Path(bundled_scenario_path("dirac_weak")).read_text())
+        shifted = copy.deepcopy(doc)
+        shifted["schedule"]["t0"] += 5.0
+        shifted["schedule"]["t1"] += 5.0
+        shifted["potential"]["scale"]["t_on"] += 5.0
+        shifted["potential"]["scale"]["t_off"] += 5.0
+        tables = []
+        for name, scenario in (("plain", doc), ("shifted", shifted)):
+            cfg = parse_scenario(write_scenario(tmp_path, scenario, name + ".json"))
+            compare_dirac_scenario(cfg, str(tmp_path / name))
+            tables.append(np.loadtxt(tmp_path / name / "dirac_compare.csv",
+                                     delimiter=",", skiprows=1, ndmin=2))
+        assert tables[0][0, 3] > 1e-4  # abs_b_first_order of the unshifted pulse
+        assert np.allclose(tables[1], tables[0], rtol=1e-12, atol=1e-12)
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert cli_main(["validate", bundled_scenario_path("quench_eta025")]) == 0
@@ -335,6 +406,11 @@ class TestCli:
         assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert "final energy ratio" in capsys.readouterr().out
         assert (tmp_path / "out" / "energy.csv").exists()
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, quench_doc(points=64))
+        assert cli_main(["run", path, "--out", path]) == 2
+        assert capsys.readouterr().err.startswith("engine failure:")
 
     def test_converge_requires_two_doublings(self, tmp_path, capsys):
         path = write_scenario(tmp_path, quench_doc(points=256))
