@@ -4,6 +4,13 @@ orthonormal eigenpairs.
 The kinetic term uses the standard 3-point stencil on the uniform grid, so
 the matrix is real symmetric tridiagonal.  Wavefunctions are implicitly zero
 outside the box (hard walls).
+
+The lowest eigenpairs come from LAPACK (`eigh_tridiagonal`), or, when the
+caller passes the eigenpairs of a nearby matrix, from shifted inverse
+iteration and Rayleigh-Ritz started there (Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998).  A refined basis is kept only if its
+residual, orthonormality and a Sturm count pass; otherwise the LAPACK
+result is returned unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .core import Grid, HamiltonianSpec, WaveFunction
 
@@ -19,6 +27,16 @@ __all__ = ["SymTridiagonal", "EigenBasis", "discretize", "eigendecompose", "resi
 
 # first eigenvector component larger than this fixes the overall sign
 _SIGN_THRESHOLD = 1e-8
+
+# Warm-start guards.  Relative to ||H||: the largest residual of a unit
+# eigenvector (LAPACK's own is about 2e-13 at ||H|| = 1e3), and how far
+# above the highest refined eigenvalue the Sturm count is taken, well above
+# that residual and well below the level spacing.
+_RESIDUAL_TOL = 64 * np.finfo(float).eps
+_STURM_MARGIN = 1e-9
+_ORTHONORMAL_TOL = 1e-12
+# refinement sweeps; one more runs only if the residual guard fails
+_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -43,9 +61,13 @@ class SymTridiagonal:
         return self.diagonal.size
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
+        """H v for one vector of shape (N,) or one per column of (N, M)."""
+        d, e = self.diagonal, self.off_diagonal
+        if np.ndim(v) == 2:
+            d, e = d[:, None], e[:, None]
+        out = d * v
+        out[:-1] += e * v[1:]
+        out[1:] += e * v[:-1]
         return out
 
 
@@ -55,12 +77,14 @@ class EigenBasis:
 
     `vectors` has shape (N, M), one state per column, orthonormal in the
     package metric (dx * sum v_j v_k = delta_jk) and sign-fixed so the first
-    component above 1e-8 in magnitude is positive.
+    component above 1e-8 in magnitude is positive.  `origin` says how the
+    pairs were obtained (see `eigendecompose`).
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     source_grid: Grid
+    origin: str = "lapack"
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
@@ -95,13 +119,18 @@ def tridiagonal_hamiltonian(h: HamiltonianSpec, grid: Grid,
     return SymTridiagonal(kin + np.asarray(v, float), off)
 
 
-def eigendecompose(m: SymTridiagonal, grid: Grid,
-                   truncation: int | None = None) -> EigenBasis:
+def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
+                   guess: EigenBasis | None = None) -> EigenBasis:
     """Lowest `truncation` eigenpairs (all of them when None).
 
-    Eigenvectors come out l2-normalized from LAPACK and are divided by
-    sqrt(dx) so the package inner product gives 1, then sign-fixed for
-    reproducibility.
+    Eigenvectors come out l2-normalized and are divided by sqrt(dx) so the
+    package inner product gives 1, then sign-fixed for reproducibility.
+
+    `guess`, the eigenpairs of a nearby matrix with the same truncation, is
+    refined when truncation < N (see `_refine`).  The basis records how it
+    was obtained in `origin`: "refined", "fallback" (the refinement failed a
+    guard or the guess has the wrong shape; the LAPACK result, bit-identical
+    to a call without guess) or "lapack" (no guess, or the full basis).
     """
     if grid.points != m.size:
         raise ValueError("grid does not match matrix dimension")
@@ -110,6 +139,12 @@ def eigendecompose(m: SymTridiagonal, grid: Grid,
         truncation = n
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
+    origin = "lapack"
+    if guess is not None and truncation < n:
+        refined = _refine(m, grid, guess, truncation)
+        if refined is not None:
+            return refined
+        origin = "fallback"
     try:
         if truncation == n:
             energies, vectors = eigh_tridiagonal(m.diagonal, m.off_diagonal)
@@ -119,7 +154,13 @@ def eigendecompose(m: SymTridiagonal, grid: Grid,
                 select="i", select_range=(0, truncation - 1))
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise RuntimeError("eigensolver did not converge") from exc
+    return _finish(energies, vectors, grid, origin)
 
+
+def _finish(energies: np.ndarray, vectors: np.ndarray, grid: Grid,
+            origin: str) -> EigenBasis:
+    """Basis from l2-normalized eigenvectors: rescaled to the package
+    metric and sign-fixed."""
     vectors = vectors / np.sqrt(grid.dx)
 
     for k in range(vectors.shape[1]):
@@ -128,15 +169,85 @@ def eigendecompose(m: SymTridiagonal, grid: Grid,
         lead = col[sig[0]] if sig.size else col[np.argmax(np.abs(col))]
         if lead < 0:
             vectors[:, k] = -col
-    return EigenBasis(energies, vectors, grid)
+    return EigenBasis(energies, vectors, grid, origin)
+
+
+def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
+            truncation: int) -> EigenBasis | None:
+    """Lowest `truncation` eigenpairs of m refined from `guess`, or None.
+
+    Each sweep solves (H - s_k) y_k = v_k once per state, with s_k the
+    current Rayleigh quotient (the guess's, with this H, at the start), and
+    then does Rayleigh-Ritz on the span of the y_k.  The result is kept only
+    if every residual is <= _RESIDUAL_TOL * ||H||, the vectors are
+    orthonormal to _ORTHONORMAL_TOL and exactly `truncation` eigenvalues lie
+    below the highest refined one plus _STURM_MARGIN * ||H||.
+    """
+    if guess.vectors.shape != (m.size, truncation):
+        return None
+    h_norm = np.abs(m.diagonal).max() + 2 * np.abs(m.off_diagonal).max()  # >= ||H||_2
+    v = guess.vectors
+    theta = np.einsum("ij,ij->j", v, m.matvec(v)) / np.einsum("ij,ij->j", v, v)
+    for sweep in range(_SWEEPS + 1):
+        y = _shifted_solve(m, theta, v)
+        if y is None:
+            return None
+        # Rayleigh-Ritz, eigh(Y^T H Y, Y^T Y) by Cholesky reduction.  numpy
+        # only: scipy's LAPACK runs on a second OpenBLAS thread pool, and
+        # alternating between two multi-threaded pools triples the cost.
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(y.T @ y))
+        except np.linalg.LinAlgError:
+            return None
+        theta, z = np.linalg.eigh(l_inv @ (y.T @ m.matvec(y)) @ l_inv.T)
+        v = y @ (l_inv.T @ z)
+        if sweep + 1 >= _SWEEPS:
+            basis = _finish(theta, v, grid, "refined")
+            # residual() measures the rescaled vectors; sqrt(dx) undoes that
+            if residual(m, basis).max() * np.sqrt(grid.dx) <= _RESIDUAL_TOL * h_norm:
+                break
+    else:
+        return None
+    gram = grid.dx * (basis.vectors.T @ basis.vectors)
+    if np.abs(gram - np.eye(truncation)).max() > _ORTHONORMAL_TOL:
+        return None
+    if _count_below(m, theta[-1] + _STURM_MARGIN * h_norm) != truncation:
+        return None
+    return basis
+
+
+def _shifted_solve(m: SymTridiagonal, shifts: np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray | None:
+    """Unit columns y_k solving (H - shifts[k]) y_k = rhs[:, k], or None if
+    a system is singular."""
+    y = np.empty((rhs.shape[1], rhs.shape[0]))
+    for k, s in enumerate(shifts):
+        _, _, _, y[k], info = dgtsv(m.off_diagonal, m.diagonal - s, m.off_diagonal,
+                                    rhs[:, k])
+        if info != 0:
+            return None
+    if not np.all(np.isfinite(y)):
+        return None
+    return (y / np.linalg.norm(y, axis=1)[:, None]).T
+
+
+def _count_below(m: SymTridiagonal, s: float) -> int:
+    """Number of eigenvalues below s: the negative pivots of the LDL^T
+    factorization of H - s (Sturm count, O(N))."""
+    e2 = (m.off_diagonal ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=0.0))
+    count = 0
+    q = 1.0
+    for d, b2 in zip(m.diagonal.tolist(), [0.0] + e2):
+        q = (d - s) - b2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
 
 
 def residual(m: SymTridiagonal, basis: EigenBasis) -> np.ndarray:
     """Per-pair l2 residual ||H v_k - E_k v_k||."""
     if basis.source_grid.points != m.size:
         raise ValueError("basis does not match matrix dimension")
-    out = np.empty(basis.truncation)
-    for k in range(basis.truncation):
-        v = basis.vectors[:, k]
-        out[k] = np.linalg.norm(m.matvec(v) - basis.energies[k] * v)
-    return out
+    return np.linalg.norm(m.matvec(basis.vectors) - basis.vectors * basis.energies, axis=0)

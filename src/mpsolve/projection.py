@@ -11,7 +11,7 @@ the per-slice norm, never renormalized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,10 +76,16 @@ class ProjectionStepReport:
 
 @dataclass(frozen=True)
 class EvolutionResult:
+    """`eigensolves` counts how each slice got its basis: "reused" (same
+    matrix as the slice before), "refined" (warm start accepted) or "lapack"
+    (cold solve or fallback); "fallbacks" counts the rejected warm starts
+    among the "lapack" ones."""
+
     final_state: WaveFunction
     reports: tuple[ProjectionStepReport, ...]
     final_basis: EigenBasis | None = None
     final_coefficients: np.ndarray | None = None
+    eigensolves: dict[str, int] = field(default_factory=dict)
 
 
 def build_schedule(t0: float, t1: float, slices: int,
@@ -162,7 +168,8 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
 
     A slice whose matrix equals the previous slice's reuses its eigenpairs,
     which are bit-identical to a fresh solve; any other slice is solved
-    anew, so at most one basis is held.  Returns per-slice reports with
+    anew, warm-started from the previous slice's eigenpairs, so at most two
+    bases are held.  Returns per-slice reports with
     coefficients (phases applied), norm and the intermediate-energy
     expectation of the slice just completed.
     """
@@ -171,7 +178,8 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     if not np.all(np.isfinite(state.amplitudes)):
         raise ValueError("non-finite state")
 
-    diagonal = None
+    diagonal = basis = None
+    counts = dict.fromkeys(("reused", "refined", "lapack", "fallbacks"), 0)
     reports = []
     bounds = schedule.boundaries
     for j in range(schedule.slices):
@@ -182,10 +190,14 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
         refreshed = diagonal is None or not np.array_equal(matrix.diagonal, diagonal)
         if refreshed:
             try:
-                basis = eigendecompose(matrix, grid, truncation)
+                basis = eigendecompose(matrix, grid, truncation, guess=basis)
             except RuntimeError as exc:
                 raise RuntimeError("eigensolver failed at slice %d" % j) from exc
             diagonal = matrix.diagonal
+            counts["refined" if basis.origin == "refined" else "lapack"] += 1
+            counts["fallbacks"] += basis.origin == "fallback"
+        else:
+            counts["reused"] += 1
 
         coeffs = project(state, basis) * np.exp(-1j * basis.energies * dt / h.hbar)
         state = reconstruct(coeffs, basis)
@@ -203,4 +215,5 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
 
     final_coeffs = project(state, final_basis) if final_basis is not None else None
     return EvolutionResult(final_state=state, reports=tuple(reports),
-                           final_basis=final_basis, final_coefficients=final_coeffs)
+                           final_basis=final_basis, final_coefficients=final_coeffs,
+                           eigensolves=counts)

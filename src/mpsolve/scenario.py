@@ -44,6 +44,8 @@ DEFAULT_GRID = {"x_min": -12.0, "x_max": 12.0, "points": 1024}
 DEFAULT_UNITS = {"hbar": 1.0, "mass": 1.0}
 DEFAULT_TRUNCATION = 64
 EMIT_CHOICES = ("energy", "coefficients", "summary")
+# most bytes a scenario's retained eigenbasis (grid.points x states doubles) may take
+MAX_BASIS_BYTES = 2 * 1024**3
 
 
 class ScenarioError(ValueError):
@@ -90,6 +92,7 @@ class RunSummary:
     final_coefficients: np.ndarray
     phase_vs_reference: float | None
     wall_time_s: float
+    eigensolves: dict[str, int]
 
 
 def _check_keys(section: dict, allowed: set[str], where: str, errors: list[str]):
@@ -295,6 +298,12 @@ def parse_scenario(path: str) -> ScenarioConfig:
         else:
             truncation = _num(basis_cfg, "truncation", "basis", errors,
                               integer=True, positive=True)
+    # truncation None here is either null (the full basis) or already a violation
+    if points is not None and (truncation is not None or basis_cfg.get("truncation") is None):
+        states = min(points, truncation or points)
+        if points * states * 8 > MAX_BASIS_BYTES:
+            errors.append("basis: a %d x %d eigenbasis takes %d bytes, more than %d"
+                          % (points, states, points * states * 8, MAX_BASIS_BYTES))
 
     init = _section(raw, "initial_state", errors)
     _check_keys(init, {"eigenstate", "amplitude_file"}, "initial_state", errors)
@@ -409,8 +418,8 @@ def _write_json(fh: TextIO, doc: dict) -> None:
 def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
     """Body of a driver that writes into `directory`.  Yields `create(name)`,
     which opens a file there for writing and records its path once the file
-    exists.  A solver or I/O failure in the body removes the recorded files,
-    and only those, and is raised as EngineError."""
+    exists.  A solver, I/O or out-of-memory failure in the body removes the
+    recorded files, and only those, and is raised as EngineError."""
     written: list[str] = []
 
     def create(name: str) -> TextIO:
@@ -422,10 +431,10 @@ def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
     try:
         os.makedirs(directory, exist_ok=True)
         yield create
-    except (RuntimeError, ValueError, OSError, KeyError) as exc:
+    except (RuntimeError, ValueError, OSError, KeyError, MemoryError) as exc:
         for path in written:
             os.remove(path)
-        raise EngineError(str(exc)) from exc
+        raise EngineError(str(exc) or type(exc).__name__) from exc
 
 
 def _initial_state(config: ScenarioConfig) -> WaveFunction:
@@ -493,6 +502,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
             final_coefficients=last.coefficients,
             phase_vs_reference=phase,
             wall_time_s=time.perf_counter() - start,
+            eigensolves=result.eigensolves,
         )
 
         if "energy" in config.emit:
@@ -519,6 +529,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                     ],
                     "phase_vs_reference": summary.phase_vs_reference,
                     "wall_time_s": summary.wall_time_s,
+                    "eigensolves": summary.eigensolves,
                 })
         return summary
 

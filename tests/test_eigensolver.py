@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsolve import (
+    EigenBasis,
     Grid,
     HamiltonianSpec,
     PotentialSpec,
@@ -11,9 +14,14 @@ from mpsolve import (
     inner_product,
     residual,
 )
+from mpsolve.eigensolver import _count_below
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
+
+
+def harmonic_matrix(k, grid):
+    return discretize(HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(k)), grid, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +102,109 @@ class TestEigendecompose:
         assert abs(e_coarse - 0.5) / abs(e_fine - 0.5) >= 3.5
 
 
+class TestMatvec:
+    def test_columns_match_single_vectors(self):
+        m = harmonic_matrix(1.0, Grid(-3.0, 3.0, 17))
+        v = np.random.default_rng(3).normal(size=(17, 4))
+        cols = np.stack([m.matvec(v[:, k]) for k in range(4)], axis=1)
+        assert np.array_equal(m.matvec(v), cols)
+
+
+class TestWarmStart:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(64, 600), m=st.integers(4, 48),
+           k=st.floats(0.25, 4.0), step=st.floats(1e-5, 1e-2))
+    def test_matches_cold_solve(self, n, m, k, step):
+        g = Grid(-12.0, 12.0, n)
+        guess = eigendecompose(harmonic_matrix(k, g), g, m)
+        matrix = harmonic_matrix(k * (1.0 + step), g)
+        warm = eigendecompose(matrix, g, m, guess=guess)
+        cold = eigendecompose(matrix, g, m)
+        h_norm = np.abs(matrix.diagonal).max() + 2 * np.abs(matrix.off_diagonal).max()
+        assert np.abs(warm.energies - cold.energies).max() <= 1e-11 * h_norm
+        # Coarse grids split the upper states into near-degenerate pairs, whose
+        # vectors are only defined to about residual / gap (Davis-Kahan): allow
+        # that much when it exceeds 1e-9.
+        full = eigendecompose(matrix, g, m + 1).energies
+        gaps = np.minimum(np.diff(full, prepend=-np.inf)[:m], np.diff(full)[:m])
+        with np.errstate(divide="ignore"):  # an exactly degenerate pair
+            bound = 128 * np.finfo(float).eps * h_norm / gaps / np.sqrt(g.dx)
+        assert np.all(np.abs(warm.vectors - cold.vectors).max(axis=0)
+                      <= np.maximum(1e-9, bound))
+
+    def test_third_sweep_when_two_fall_short(self):
+        # from a 10% weaker spring two sweeps leave a residual of 1e-10 ||H||
+        g = Grid(-12.0, 12.0, 512)
+        matrix = harmonic_matrix(1.0, g)
+        guess = eigendecompose(harmonic_matrix(1.1, g), g, 24)
+        warm = eigendecompose(matrix, g, 24, guess=guess)
+        cold = eigendecompose(matrix, g, 24)
+        assert warm.origin == "refined"
+        assert np.abs(warm.energies - cold.energies).max() < 1e-12
+        assert np.abs(warm.vectors - cold.vectors).max() < 1e-9
+
+    # 1.3: three sweeps leave a residual of 5e-11 ||H||, while the Sturm count
+    # and orthonormality pass; 4.0: the refined states are not the lowest
+    @pytest.mark.parametrize("guess_k, guess_m", [(1.3, 24), (4.0, 24), (1.0, 23)],
+                             ids=["unconverged", "far_hamiltonian", "wrong_truncation"])
+    def test_unusable_guess_falls_back_bit_identically(self, guess_k, guess_m):
+        g = Grid(-12.0, 12.0, 512)
+        matrix = harmonic_matrix(1.0, g)
+        guess = eigendecompose(harmonic_matrix(guess_k, g), g, guess_m)
+        warm = eigendecompose(matrix, g, 24, guess=guess)
+        cold = eigendecompose(matrix, g, 24)
+        assert warm.origin == "fallback" and cold.origin == "lapack"
+        assert np.array_equal(warm.energies, cold.energies)
+        assert np.array_equal(warm.vectors, cold.vectors)
+
+    def test_guess_missing_the_ground_state_falls_back(self):
+        # states 1..24 refine to exact eigenpairs; only the Sturm count sees
+        # that the lowest one is missing
+        g = Grid(-12.0, 12.0, 512)
+        matrix = harmonic_matrix(1.0, g)
+        above = eigendecompose(matrix, g, 25)
+        guess = EigenBasis(above.energies[1:], above.vectors[:, 1:], g)
+        warm = eigendecompose(matrix, g, 24, guess=guess)
+        assert warm.origin == "fallback"
+        assert np.array_equal(warm.vectors, eigendecompose(matrix, g, 24).vectors)
+
+    def test_singular_shift_falls_back(self):
+        # the guess's Rayleigh quotients are exact eigenvalues, so H - s is singular
+        g = Grid(0.0, 3.0, 4)
+        m = SymTridiagonal([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0])
+        guess = eigendecompose(m, g, 2)
+        warm = eigendecompose(m, g, 2, guess=guess)
+        assert warm.origin == "fallback"
+        assert np.array_equal(warm.vectors, guess.vectors)
+
+    def test_full_basis_is_never_refined(self):
+        g = Grid(-3.0, 3.0, 33)
+        guess = eigendecompose(harmonic_matrix(1.0, g), g)
+        full = eigendecompose(harmonic_matrix(1.001, g), g, guess=guess)
+        assert full.origin == "lapack"
+
+    def test_sturm_count(self):
+        g = Grid(-6.0, 6.0, 101)
+        matrix = harmonic_matrix(1.0, g)
+        energies = eigendecompose(matrix, g).energies
+        for s in (-1.0, energies[0] + 1e-9, 0.5 * (energies[9] + energies[10]),
+                  energies[-1] + 1.0):
+            assert _count_below(matrix, s) == np.count_nonzero(energies < s)
+
+
 class TestResidual:
     def test_exact_small_case(self):
         g = Grid(0.0, 1.0, 3)
         m = SymTridiagonal([1.0, 2.0, 3.0], [0.0, 0.0])
         basis = eigendecompose(m, g)
         assert residual(m, basis).max() <= 1e-14
+
+    def test_matches_per_pair_loop(self, harmonic_basis):
+        m = discretize(HARMONIC, GRID, 0.0)
+        v, e = harmonic_basis.vectors, harmonic_basis.energies
+        loop = [np.linalg.norm(m.matvec(v[:, k]) - e[k] * v[:, k]) for k in range(11)]
+        # only the summation order of the norm differs
+        assert np.allclose(residual(m, harmonic_basis), loop, rtol=1e-12, atol=0)
 
     def test_default_basis_within_contract(self, harmonic_basis):
         m = discretize(HARMONIC, GRID, 0.0)

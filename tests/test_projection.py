@@ -304,6 +304,25 @@ class TestEvolve:
             psi = one.final_state
         assert np.array_equal(psi.amplitudes, whole.final_state.amplitudes)
 
+    def test_warm_started_ramp_matches_cold_solves(self):
+        g = Grid(-12.0, 12.0, 512)
+        h = smooth_ramp_hamiltonian()
+        psi = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
+        schedule = build_schedule(0.0, 2.0, 128)
+        whole = evolve(psi, h, schedule, truncation=48)
+        counts = whole.eigensolves
+        assert counts["refined"] >= 120
+        assert counts["reused"] + counts["refined"] + counts["lapack"] == 128
+        for j in range(schedule.slices):
+            one = evolve(psi, h, SliceSchedule(schedule.boundaries[j:j + 2]),
+                         truncation=48)
+            assert one.eigensolves == {"reused": 0, "refined": 0, "lapack": 1,
+                                       "fallbacks": 0}
+            assert np.abs(one.reports[0].coefficients
+                          - whole.reports[j].coefficients).max() < 1e-11
+            psi = one.final_state
+        assert np.abs(psi.amplitudes - whole.final_state.amplitudes).max() < 1e-11
+
     def test_memory_bounded_in_slice_count(self):
         g = Grid(-12.0, 12.0, 512)
         h = smooth_ramp_hamiltonian()

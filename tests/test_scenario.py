@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
 from mpsolve.scenario import (
+    MAX_BASIS_BYTES,
     ScenarioError,
     bundled_scenario_path,
     compare_dirac_scenario,
@@ -190,6 +192,22 @@ class TestValidate:
         assert ("invalid scenario: initial_state.amplitude_file: " + violation
                 in capsys.readouterr().err.splitlines())
 
+    @pytest.mark.parametrize("points, truncation, ok", [
+        (16384, None, True), (16385, None, False), (4194304, 64, True),
+        (4194305, 64, False), (10**12, 64, False),
+    ])
+    def test_basis_size_limit(self, tmp_path, points, truncation, ok):
+        doc = quench_doc(points=points, truncation=truncation)
+        states = min(points, truncation or points)
+        violation = ("basis: a %d x %d eigenbasis takes %d bytes, more than %d"
+                     % (points, states, points * states * 8, MAX_BASIS_BYTES))
+        try:
+            parse_scenario(write_scenario(tmp_path, doc))
+            violations = []
+        except ScenarioError as exc:
+            violations = exc.violations
+        assert violations == ([] if ok else [violation])
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
                                          "1" + "0" * 400],
                              ids=["nan", "inf", "-inf", "float_overflow", "int_overflow"])
@@ -300,6 +318,26 @@ class TestRun:
         (tmp_path / "amps.csv").unlink()
         assert np.array_equal(cfg.amplitudes, amps + 0.5j * amps)
         run_scenario(cfg, str(tmp_path / "out"))
+
+    def test_eigensolve_counts_in_summary(self, tmp_path):
+        doc = smooth_ramp_doc()
+        cfg = parse_scenario(write_scenario(tmp_path, doc))
+        run_scenario(cfg, str(tmp_path / "out"))
+        counts = json.loads((tmp_path / "out" / "summary.json").read_text())["eigensolves"]
+        assert sorted(counts) == ["fallbacks", "lapack", "refined", "reused"]
+        assert counts["reused"] + counts["refined"] + counts["lapack"] == 8
+        assert counts["refined"] > 0 and counts["fallbacks"] <= counts["lapack"]
+
+    def test_out_of_memory_is_an_engine_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scenario_mod, "evolve", exhausted)
+        out = tmp_path / "out"
+        assert cli_main(["run", write_scenario(tmp_path, quench_doc(points=64)),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "engine failure: MemoryError\n"
+        assert list(out.iterdir()) == []
 
     def test_output_path_taken_by_directory(self, tmp_path, capsys):
         doc = quench_doc(points=256)
