@@ -18,6 +18,7 @@ from .dirac import (
     first_order_amplitude,
     integrate_amplitudes,
     perturbation_elements,
+    perturbation_operator,
 )
 from .eigensolver import EigenBasis, SymTridiagonal, discretize, eigendecompose, residual
 from .oscillator import (

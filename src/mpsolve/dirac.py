@@ -9,6 +9,7 @@ is norm-preserving, so any observed norm drift is integrator error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +21,7 @@ from .eigensolver import EigenBasis
 __all__ = [
     "AmplitudeTrajectory",
     "DivergenceReport",
+    "perturbation_operator",
     "perturbation_elements",
     "integrate_amplitudes",
     "first_order_amplitude",
@@ -48,15 +50,69 @@ class DivergenceReport:
     first_exceedance_time: float | None
 
 
+def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
+                          t0: float = 0.0) -> Callable[[float], np.ndarray]:
+    """The map t -> V_km(t) = <k| V(x,t) - V(x,t0) |m> over the retained
+    basis in the package inner product (weights `grid.weights`).  Real
+    symmetric for scalar potentials.
+
+    Every supported potential is affine in time with fixed spatial
+    profiles, so each profile is projected onto the basis once (an N x M x M
+    product) and a call only combines M x M matrices:
+
+      scaled_harmonic  (S(t) - S(t0)) <k| k x^2 / 2 |m>; `harmonic` is the
+                       case S = 1, whose difference is zero
+      tabulated        (1 - f) P_j + f P_{j+1} - P(t0), with P_j the
+                       projected sample row j.  Rows are projected on
+                       demand and only the current interval's two are kept,
+                       so memory does not grow with the number of samples.
+
+    Raises ValueError where evaluating V(x, t) would: for a time outside
+    the samples or a non-finite potential.
+    """
+    grid = basis.source_grid
+    pot = h.potential
+    h.potential_on_grid(grid, t0)  # raises for a bad t0, x grid or V(t0)
+
+    def projected(v: np.ndarray) -> np.ndarray:
+        return basis.vectors.T @ (basis.vectors * (grid.weights * v)[:, None])
+
+    if pot.kind == "tabulated":
+        rows: dict[int, np.ndarray] = {}
+
+        def interpolated(t: float) -> np.ndarray:
+            j, f = pot.sample_interval(t)
+            for i in [i for i in rows if i not in (j, j + 1)]:
+                del rows[i]
+            for i in (j, j + 1):
+                if i not in rows:
+                    if not np.all(np.isfinite(pot.v_samples[i])):
+                        raise ValueError("potential evaluated to a non-finite value")
+                    rows[i] = projected(pot.v_samples[i])
+            return (1 - f) * rows[j] + f * rows[j + 1]
+
+        reference = interpolated(t0)
+        return lambda t: interpolated(t) - reference
+
+    x2 = grid.x**2
+    spring = projected(0.5 * pot.k * x2)
+    s0 = pot.profile(t0)
+    x2_max = float(x2.max())
+
+    def scaled(t: float) -> np.ndarray:
+        s = pot.profile(t)
+        # the node where V(x, t) is largest overflows first
+        if not math.isfinite(0.5 * s * pot.k * x2_max):
+            raise ValueError("potential evaluated to a non-finite value")
+        return (s - s0) * spring
+    return scaled
+
+
 def perturbation_elements(h: HamiltonianSpec, basis: EigenBasis, t: float,
                           t0: float = 0.0) -> np.ndarray:
-    """Matrix elements V_km(t) = <k| V(x,t) - V(x,t0) |m> over the retained
-    basis in the package inner product (weights `grid.weights`).  Real
-    symmetric for scalar potentials."""
-    grid = basis.source_grid
-    dv = h.potential_on_grid(grid, t) - h.potential_on_grid(grid, t0)
-    weighted = basis.vectors * (grid.weights * dv)[:, None]
-    return basis.vectors.T @ weighted
+    """Matrix elements V_km(t) = <k| V(x,t) - V(x,t0) |m>; one call of
+    `perturbation_operator(h, basis, t0)`."""
+    return perturbation_operator(h, basis, t0)(t)
 
 
 def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
@@ -76,11 +132,11 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
         raise ValueError("initial amplitudes must be finite")
     t_start, t_end = t_span
     dt = (t_end - t_start) / steps
-    d_omega = omegas[:, None] - omegas[None, :]
 
     def rhs(t, amps):
-        coupling = np.exp(1j * d_omega * t) * v_of_t(t)
-        return (-1j / hbar) * (coupling @ amps)
+        # exp(i (w_k - w_m) t) V_km = p_k V_km conj(p_m) with p = exp(i w t)
+        p = np.exp(1j * omegas * t)
+        return (-1j / hbar) * p * (v_of_t(t) @ (amps * p.conj()))
 
     times = np.empty(steps + 1)
     history = np.empty((steps + 1, c.size), dtype=complex)

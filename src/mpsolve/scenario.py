@@ -26,7 +26,7 @@ from . import dirac as dirac_mod
 from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunction,
                    inner_product, norm_squared)
 from .eigensolver import discretize, eigendecompose
-from .projection import AVERAGING_MODES, EvolutionResult, build_schedule, evolve, project
+from .projection import AVERAGING_MODES, build_schedule, evolve, project
 
 __all__ = [
     "ScenarioConfig",
@@ -370,6 +370,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
                 errors.append("dirac.targets: expected a non-empty list of state indices")
             elif states is not None and max(targets) >= states:
                 errors.append("dirac.targets: every index must be < dirac.states")
+            if "amplitude_file" in init:
+                errors.append("dirac: compare-dirac starts from one retained eigenstate; "
+                              "give initial_state.eigenstate, not amplitude_file")
+            elif eigenstate is not None and states is not None and eigenstate >= states:
+                errors.append("initial_state.eigenstate: must be < dirac.states")
 
     if potential.kind == "tabulated" or profile.kind == "sampled":
         knots = potential.breakpoints()
@@ -469,13 +474,6 @@ def _energy_scale(config: ScenarioConfig) -> float:
     return float(basis.energies[0])
 
 
-def _run_evolution(config: ScenarioConfig) -> EvolutionResult:
-    psi0 = _initial_state(config)
-    schedule = build_schedule(config.t0, config.t1, config.slices,
-                              config.profile, config.averaging)
-    return evolve(psi0, config.hamiltonian, schedule, config.truncation)
-
-
 def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSummary:
     """Evolve the scenario and write energy.csv / coefficients.csv /
     summary.json (per the emit list).  Files written before a failure are
@@ -483,11 +481,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
     out = out_dir if out_dir is not None else config.out_dir
     start = time.perf_counter()
     with _output_files(out) as create:
-        result = _run_evolution(config)
+        psi0 = _initial_state(config)
+        schedule = build_schedule(config.t0, config.t1, config.slices,
+                                  config.profile, config.averaging)
+        result = evolve(psi0, config.hamiltonian, schedule, config.truncation)
 
         phase = None
         if config.reference:
-            psi0 = _initial_state(config)
             schedule = build_schedule(config.t0, config.t1, config.slices,
                                       None, config.averaging)
             ref = evolve(psi0, _reference_hamiltonian(config), schedule,
@@ -588,10 +588,11 @@ def compare_dirac_scenario(config: ScenarioConfig,
         t_end = float(config.dirac.get("t1", config.t1))
         h = config.hamiltonian
         t0 = config.t0
+        rk4_dt = (t_end - t0) / rk4_steps
 
         basis0 = eigendecompose(discretize(h, config.grid, t0), config.grid, n_states)
         psi0 = _initial_state(config)
-        n_init = config.eigenstate if config.eigenstate is not None else 0
+        n_init = config.eigenstate
 
         # multi-projection run over the same window, projected back onto the
         # initial basis
@@ -601,9 +602,7 @@ def compare_dirac_scenario(config: ScenarioConfig,
         mp_coeffs = mp_result.final_coefficients
 
         omegas = basis0.frequencies(h.hbar)
-
-        def v_of_t(t: float) -> np.ndarray:
-            return dirac_mod.perturbation_elements(h, basis0, t, t0)
+        v_of_t = dirac_mod.perturbation_operator(h, basis0, t0)
 
         c0 = np.zeros(n_states, dtype=complex)
         c0[n_init] = project(psi0, basis0)[n_init]
@@ -643,7 +642,9 @@ def compare_dirac_scenario(config: ScenarioConfig,
         with create("divergence_report.json") as fh:
             _write_json(fh, {"max_norm": report.max_norm,
                              "final_norm": report.final_norm,
-                             "first_exceedance_time": report.first_exceedance_time})
+                             "first_exceedance_time": report.first_exceedance_time,
+                             "rk4_dt": rk4_dt,
+                             "max_phase_per_step": float(np.ptp(omegas)) * rk4_dt})
         return report
 
 

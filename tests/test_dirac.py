@@ -1,5 +1,7 @@
 """Tests for the coupled-amplitude comparator and first-order formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from mpsolve.dirac import (
     first_order_amplitude,
     integrate_amplitudes,
     perturbation_elements,
+    perturbation_operator,
 )
 from mpsolve.eigensolver import discretize, eigendecompose
 
@@ -58,6 +61,103 @@ class TestPerturbationElements:
         assert np.abs(v - v.T).max() < 1e-14
 
 
+def direct_elements(h, basis, t, t0):
+    """B^T diag(w (V(t) - V(t0))) B straight from the potential on the grid."""
+    grid = basis.source_grid
+    dv = h.potential_on_grid(grid, t) - h.potential_on_grid(grid, t0)
+    return basis.vectors.T @ (basis.vectors * (grid.weights * dv)[:, None])
+
+
+def scaled(profile):
+    return HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.3, profile))
+
+
+def tabulated(t_samples):
+    """Spatial shape and strength both change from sample to sample."""
+    rows = [(1.0 + 0.3 * np.sin(t)) * 0.5 * GRID.x**2 + 0.2 * np.cos(2 * t) * GRID.x
+            for t in t_samples]
+    return HamiltonianSpec(1.0, 1.0, PotentialSpec.tabulated(GRID.x, t_samples, rows))
+
+
+def around(breakpoints, t_min, t_max):
+    """Each breakpoint, points just either side of it, and the ends."""
+    ts = [t_min, t_max]
+    for b in breakpoints:
+        ts += [b - 1e-9, b, b + 1e-9, b - 0.3, b + 0.3]
+    return [t for t in ts if t_min <= t <= t_max]
+
+
+class TestPerturbationOperator:
+    @pytest.mark.parametrize("h, t0, times", [
+        (scaled(ScaleProfile.step(0.25, 0.5)), 0.0, around([0.5], 0.0, 3.0)),
+        (scaled(ScaleProfile.pulse(4.0, 0.5, 1.5)), -1.0, around([0.5, 1.5], -1.0, 3.0)),
+        (scaled(ScaleProfile.pulse(4.0, 0.5, 1.5)), 1.0, around([0.5, 1.5], -1.0, 3.0)),
+        (scaled(ScaleProfile.sampled([0.0, 0.7, 1.1, 2.0], [1.0, 1.8, 0.6, 1.2])), 0.9,
+         around([0.0, 0.7, 1.1, 2.0], 0.0, 2.0)),
+        (tabulated(np.linspace(0.0, 3.0, 7)), 1.25, around(np.linspace(0.0, 3.0, 7), 0.0, 3.0)),
+    ], ids=["step", "pulse", "pulse_t0_inside", "sampled", "tabulated"])
+    def test_matches_direct_projection(self, h, t0, times):
+        _, basis = oscillator_basis(24)
+        op = perturbation_operator(h, basis, t0)
+        for t in times:
+            want = direct_elements(h, basis, t, t0)
+            # V(t) - V(t0) cancels, so its rounding is relative to |V(t)| + |V(t0)|
+            size = np.abs(h.potential_on_grid(GRID, t)) + np.abs(h.potential_on_grid(GRID, t0))
+            scale = np.linalg.norm(basis.vectors.T @ (
+                basis.vectors * (GRID.weights * size)[:, None]))
+            assert np.linalg.norm(op(t) - want) <= 1e-13 * scale, t
+            assert np.array_equal(perturbation_elements(h, basis, t, t0), op(t))
+        assert np.abs(op(t0)).max() == 0.0
+
+    def test_harmonic_is_zero(self):
+        h, basis = oscillator_basis(16)
+        op = perturbation_operator(h, basis, 0.0)
+        for t in (-3.0, 0.0, 2.5):
+            assert op(t).shape == (16, 16)
+            assert np.abs(op(t)).max() == 0.0
+            assert np.abs(direct_elements(h, basis, t, 0.0)).max() == 0.0
+
+    def test_tabulated_memory_does_not_grow_with_samples(self):
+        _, basis = oscillator_basis(16)
+        t_samples = np.linspace(0.0, 10.0, 401)
+        op = perturbation_operator(tabulated(t_samples), basis, 0.0)
+        mids = 0.5 * (t_samples[1:] + t_samples[:-1])
+        op(mids[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in mids:
+                op(t)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # keeping every projected row would hold 400 * 16 * 16 doubles (819 kB)
+        assert grown < 4 * 16 * 16 * 8
+
+    def test_errors_of_the_potential_are_kept(self):
+        _, basis = oscillator_basis(8)
+        ts = np.array([0.0, 1.0, 2.0, 3.0])
+        rows = [0.5 * GRID.x**2] * 3 + [np.full(GRID.points, np.nan)]
+        bad_row = HamiltonianSpec(1.0, 1.0, PotentialSpec.tabulated(GRID.x, ts, rows))
+        op = perturbation_operator(bad_row, basis, 0.0)
+        op(1.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            op(2.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            direct_elements(bad_row, basis, 2.5, 0.0)
+        with pytest.raises(ValueError, match="time out of range"):
+            op(3.5)
+        with pytest.raises(ValueError, match="time out of range"):
+            perturbation_operator(tabulated(ts), basis, -0.1)
+        huge = scaled(ScaleProfile.step(1e307, 1.0))
+        op = perturbation_operator(huge, basis, 0.0)
+        op(1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            op(1.5)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            direct_elements(huge, basis, 1.5, 0.0)
+
+
 class TestIntegrateAmplitudes:
     def test_zero_potential_is_inert(self):
         n = 6
@@ -73,6 +173,30 @@ class TestIntegrateAmplitudes:
             integrate_amplitudes(lambda t: np.zeros((2, 2)),
                                  np.array([0.5, 1.5]),
                                  np.array([1.0, 0.0]), (0.0, 1.0), 0)
+
+    def test_factored_phase_matches_full_coupling_matrix(self):
+        # reference: the RK4 step with the M x M coupling exp(i (w_k - w_m) t) V_km
+        h = scaled(ScaleProfile.sampled([0.0, 1.0, 3.0], [1.0, 1.5, 0.8]))
+        _, basis = oscillator_basis(12)
+        op = perturbation_operator(h, basis, 0.0)
+        omegas = basis.frequencies(1.0)
+        c = np.zeros(12, dtype=complex)
+        c[0], c[2] = 0.8, 0.6j
+        traj = integrate_amplitudes(op, omegas, c, (0.0, 3.0), 90)
+
+        def rhs(t, amps):
+            d_omega = omegas[:, None] - omegas[None, :]
+            return -1j * ((np.exp(1j * d_omega * t) * op(t)) @ amps)
+
+        dt = 3.0 / 90
+        for i in range(90):
+            t = i * dt
+            k1 = rhs(t, c)
+            k2 = rhs(t + 0.5 * dt, c + 0.5 * dt * k1)
+            k3 = rhs(t + 0.5 * dt, c + 0.5 * dt * k2)
+            k4 = rhs(t + dt, c + dt * k3)
+            c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            assert np.abs(traj.amplitudes[i + 1] - c).max() < 1e-13
 
     def test_rk4_fourth_order_convergence(self):
         h = quench_hamiltonian(1.2, t_on=0.0)

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
+from mpsolve.core import HamiltonianSpec
+from mpsolve.eigensolver import eigendecompose
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
     ScenarioError,
@@ -112,6 +114,11 @@ def smooth_ramp_doc():
         return json.load(fh)
 
 
+def dirac_weak_doc():
+    with open(bundled_scenario_path("dirac_weak"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def with_change(doc, path, value):
     doc = copy.deepcopy(doc)
     node = doc
@@ -191,6 +198,23 @@ class TestValidate:
                          "--out", str(tmp_path / "out")]) == 1
         assert ("invalid scenario: initial_state.amplitude_file: " + violation
                 in capsys.readouterr().err.splitlines())
+
+    @pytest.mark.parametrize("initial_state, violation", [
+        ({"eigenstate": 50}, "initial_state.eigenstate: must be < dirac.states"),
+        ({"amplitude_file": "amps.csv"},
+         "dirac: compare-dirac starts from one retained eigenstate; "
+         "give initial_state.eigenstate, not amplitude_file"),
+    ], ids=["eigenstate_not_retained", "amplitude_file"])
+    def test_dirac_needs_a_retained_eigenstate(self, tmp_path, capsys, initial_state,
+                                                violation):
+        g = np.linspace(-10.0, 10.0, 400)
+        ground = np.exp(-g**2 / 2) / math.pi**0.25
+        amps = (ground + ground * (2 * g**2 - 1) / math.sqrt(2)) / math.sqrt(2)
+        (tmp_path / "amps.csv").write_text(
+            "re,im\n" + "".join("%r,0.0\n" % a for a in amps.tolist()))
+        doc = with_change(dirac_weak_doc(), ("initial_state",), initial_state)
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["invalid scenario: " + violation]
 
     @pytest.mark.parametrize("points, truncation, ok", [
         (16384, None, True), (16385, None, False), (4194304, 64, True),
@@ -328,6 +352,20 @@ class TestRun:
         assert counts["reused"] + counts["refined"] + counts["lapack"] == 8
         assert counts["refined"] > 0 and counts["fallbacks"] <= counts["lapack"]
 
+    def test_initial_state_solved_once_with_reference(self, tmp_path, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args[2])
+            return eigendecompose(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_mod, "eigendecompose", counted)
+        cfg = parse_scenario(bundled_scenario_path("pulse_eta4"))
+        assert cfg.reference
+        summary = run_scenario(cfg, str(tmp_path / "out"))
+        assert solves == [1]
+        assert summary.phase_vs_reference is not None
+
     def test_out_of_memory_is_an_engine_failure(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -390,6 +428,9 @@ class TestCompareDirac:
         assert int(m) == 2
         assert abs(a_mp - a_rk) / a_rk < 0.05
         assert abs(a_mp - a_fo) / a_fo < 0.05
+        doc = json.loads((tmp_path / "out" / "divergence_report.json").read_text())
+        assert doc["rk4_dt"] == 1.0 / 400
+        assert doc["max_phase_per_step"] == pytest.approx(47.0 / 400, rel=1e-2)
 
     def test_strong_quench_reports_divergence(self, tmp_path):
         cfg = parse_scenario(bundled_scenario_path("quench_eta025"))
@@ -398,6 +439,45 @@ class TestCompareDirac:
         assert report.first_exceedance_time is not None
         doc = json.loads((tmp_path / "out" / "divergence_report.json").read_text())
         assert doc["max_norm"] == report.max_norm
+        # 16 states with w_k ~ k + 1/2 and dt = 30/60, far past RK4's bound of ~2.8
+        assert doc["rk4_dt"] == 0.5
+        assert doc["max_phase_per_step"] == pytest.approx(7.5, rel=1e-2)
+
+    def test_tabulated_copy_matches_scaled_harmonic(self, tmp_path):
+        doc = dirac_weak_doc()
+        x = np.linspace(-10.0, 10.0, 400)
+        # the pulse is 1.001 on (0, 1) and 1 at both ends; the ramps of the
+        # copy are far shorter than any RK4 or quadrature step
+        t_samples = [0.0, 1e-9, 1.0 - 1e-9, 1.0]
+        rows = [(s * 0.5 * x**2).tolist() for s in (1.0, 1.001, 1.001, 1.0)]
+        table = with_change(doc, ("potential",), {
+            "kind": "tabulated", "x_samples": x.tolist(), "t_samples": t_samples,
+            "v_samples": rows})
+        tables = []
+        for name, scenario in (("scaled", doc), ("tabulated", table)):
+            cfg = parse_scenario(write_scenario(tmp_path, scenario, name + ".json"))
+            compare_dirac_scenario(cfg, str(tmp_path / name))
+            tables.append(np.loadtxt(tmp_path / name / "dirac_compare.csv",
+                                     delimiter=",", skiprows=1, ndmin=2))
+        assert np.abs(tables[1] - tables[0]).max() < 1e-10
+
+    def test_potential_evaluations_do_not_depend_on_rk4_steps(self, tmp_path, monkeypatch):
+        calls = []
+        on_grid = HamiltonianSpec.potential_on_grid
+
+        def counted(self, grid, t):
+            calls.append(t)
+            return on_grid(self, grid, t)
+
+        monkeypatch.setattr(HamiltonianSpec, "potential_on_grid", counted)
+        counts = []
+        for steps in (100, 1500):
+            doc = with_change(dirac_weak_doc(), ("dirac", "rk4_steps"), steps)
+            cfg = parse_scenario(write_scenario(tmp_path, doc))
+            calls.clear()
+            compare_dirac_scenario(cfg, str(tmp_path / str(steps)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
     def test_output_path_taken_by_directory(self, tmp_path, capsys):
