@@ -226,7 +226,12 @@ class PotentialSpec:
         elif self.kind == "scaled_harmonic":
             out = 0.5 * self.profile(t) * self.k * x**2
         else:
-            j, frac = self.sample_interval(t)
+            if t < self.t_samples[0] or t > self.t_samples[-1]:
+                raise ValueError("time out of range")
+            j = np.searchsorted(self.t_samples, t, side="right") - 1
+            j = min(max(j, 0), self.t_samples.size - 2)
+            t0, t1 = self.t_samples[j], self.t_samples[j + 1]
+            frac = (t - t0) / (t1 - t0)
             row = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
             if x.ndim == 0:
                 idx = np.argmin(np.abs(self.x_samples - x))
@@ -242,16 +247,6 @@ class PotentialSpec:
         if not np.all(np.isfinite(out)):
             raise ValueError("potential evaluated to a non-finite value")
         return out if out.ndim else float(out)
-
-    def sample_interval(self, t: float) -> tuple[int, float]:
-        """(j, f) such that a tabulated V(x, t) = (1 - f) v_j(x) + f v_{j+1}(x);
-        raises for t outside the samples."""
-        if t < self.t_samples[0] or t > self.t_samples[-1]:
-            raise ValueError("time out of range")
-        j = np.searchsorted(self.t_samples, t, side="right") - 1
-        j = int(min(max(j, 0), self.t_samples.size - 2))
-        t0, t1 = self.t_samples[j], self.t_samples[j + 1]
-        return j, (t - t0) / (t1 - t0)
 
     def breakpoints(self) -> np.ndarray:
         """Times at which V may jump or change slope in t.  Between two

@@ -56,43 +56,24 @@ def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
     basis in the package inner product (weights `grid.weights`).  Real
     symmetric for scalar potentials.
 
-    Every supported potential is affine in time with fixed spatial
-    profiles, so each profile is projected onto the basis once (an N x M x M
-    product) and a call only combines M x M matrices:
-
-      scaled_harmonic  (S(t) - S(t0)) <k| k x^2 / 2 |m>; `harmonic` is the
-                       case S = 1, whose difference is zero
-      tabulated        (1 - f) P_j + f P_{j+1} - P(t0), with P_j the
-                       projected sample row j.  Rows are projected on
-                       demand and only the current interval's two are kept,
-                       so memory does not grow with the number of samples.
+    A `scaled_harmonic` potential is (S(t) - S(t0)) k x^2 / 2 apart from
+    V(t0), so its one spatial profile is projected onto the basis once (an
+    N x M x M product) and a call only scales an M x M matrix; `harmonic`
+    is the case S = 1, whose difference is zero.  A `tabulated` call
+    evaluates V(t) - V(t0) on the grid and projects it.
 
     Raises ValueError where evaluating V(x, t) would: for a time outside
     the samples or a non-finite potential.
     """
     grid = basis.source_grid
     pot = h.potential
-    h.potential_on_grid(grid, t0)  # raises for a bad t0, x grid or V(t0)
+    v0 = h.potential_on_grid(grid, t0)  # raises for a bad t0, x grid or V(t0)
 
     def projected(v: np.ndarray) -> np.ndarray:
         return basis.vectors.T @ (basis.vectors * (grid.weights * v)[:, None])
 
     if pot.kind == "tabulated":
-        rows: dict[int, np.ndarray] = {}
-
-        def interpolated(t: float) -> np.ndarray:
-            j, f = pot.sample_interval(t)
-            for i in [i for i in rows if i not in (j, j + 1)]:
-                del rows[i]
-            for i in (j, j + 1):
-                if i not in rows:
-                    if not np.all(np.isfinite(pot.v_samples[i])):
-                        raise ValueError("potential evaluated to a non-finite value")
-                    rows[i] = projected(pot.v_samples[i])
-            return (1 - f) * rows[j] + f * rows[j + 1]
-
-        reference = interpolated(t0)
-        return lambda t: interpolated(t) - reference
+        return lambda t: projected(h.potential_on_grid(grid, t) - v0)
 
     x2 = grid.x**2
     spring = projected(0.5 * pot.k * x2)
