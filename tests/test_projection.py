@@ -368,3 +368,45 @@ class TestEvolve:
         bad = WaveFunction(GRID, np.full(1024, np.nan, dtype=complex))
         with pytest.raises(ValueError, match="non-finite"):
             evolve(bad, HARMONIC, build_schedule(0.0, 1.0, 2))
+
+
+class TestCfm4:
+    def test_fourth_order_on_knot_aligned_sampled_profile(self):
+        # knots every 0.25 fall on the boundaries of 8, 16, 32 and 128 slices,
+        # so V is linear in t across every slice
+        g = Grid(-8.0, 8.0, 256)
+        ts = np.arange(9) * 0.25
+        prof = ScaleProfile.sampled(ts, 1 + 0.5 * np.sin(np.pi * ts / 2) ** 2)
+        h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
+        psi0 = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
+
+        def final(n):
+            return evolve(psi0, h, build_schedule(0.0, 2.0, n, prof), truncation=24,
+                          scheme="cfm4").final_state.amplitudes
+
+        ref = final(128)
+        errors = [math.sqrt(norm_squared(WaveFunction(g, final(n) - ref)))
+                  for n in (8, 16, 32)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert math.log2(coarse / fine) >= 3.5
+
+    @pytest.mark.parametrize("profile", [ScaleProfile.step(0.25, 0.7),
+                                         ScaleProfile.pulse(4.0, 0.5, 1.5)],
+                             ids=["step", "pulse"])
+    def test_matches_average_on_piecewise_constant_profiles(self, ground, profile):
+        h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, profile))
+        schedule = build_schedule(0.0, 2.0, 6, profile)
+        avg = evolve(ground, h, schedule, truncation=32)
+        cfm4 = evolve(ground, h, schedule, truncation=32, scheme="cfm4")
+        assert np.abs(cfm4.final_state.amplitudes - avg.final_state.amplitudes).max() < 1e-12
+        for a, c in zip(avg.reports, cfm4.reports):
+            assert np.abs(c.coefficients - a.coefficients).max() < 1e-12
+            assert c.energy == pytest.approx(a.energy, rel=1e-12)
+            assert c.basis_refreshed == a.basis_refreshed
+        # each slice's second factor reuses the first factor's basis
+        assert cfm4.eigensolves == {**avg.eigensolves,
+                                    "reused": avg.eigensolves["reused"] + schedule.slices}
+
+    def test_unknown_scheme_rejected(self, ground):
+        with pytest.raises(ValueError, match="scheme"):
+            evolve(ground, HARMONIC, build_schedule(0.0, 1.0, 2), scheme="rk4")

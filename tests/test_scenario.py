@@ -15,6 +15,7 @@ from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
 from mpsolve.core import HamiltonianSpec
 from mpsolve.eigensolver import eigendecompose
+from mpsolve.projection import build_schedule, evolve
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
     ScenarioError,
@@ -411,6 +412,36 @@ class TestConverge:
         assert rows[0] == "slices,l2_error,observed_order"
         assert len(rows) == len(rungs) + 1
 
+    def test_cfm4_reference_agrees_with_finer_averaged_reference(self, tmp_path):
+        cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
+        rungs = converge_scenario(cfg, 2, str(tmp_path / "out"))
+        finest_slices, finest_err = rungs[-1]
+        psi0 = scenario_mod._initial_state(cfg)
+
+        def final(n, scheme):
+            schedule = build_schedule(cfg.t0, cfg.t1, n, cfg.profile, cfg.averaging)
+            return evolve(psi0, cfg.hamiltonian, schedule, cfg.truncation,
+                          scheme=scheme).final_state.amplitudes
+
+        def distance(a, b):
+            return math.sqrt(cfg.grid.dx * np.vdot(a - b, a - b).real)
+
+        ref = final(finest_slices // 4, "cfm4")
+        # the old reference: averaged slices at 4x the finest rung
+        assert distance(final(4 * finest_slices, "average"), ref) <= finest_err / 8
+        doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
+        assert doc["reference_scheme"] == "cfm4"
+        assert doc["reference_slices"] == finest_slices // 4 == cfg.slices
+        assert doc["reference_error_estimate"] == pytest.approx(
+            distance(ref, final(cfg.slices // 2, "cfm4")), rel=1e-12)
+
+    def test_one_slice_reference_has_no_error_estimate(self, tmp_path):
+        cfg = parse_scenario(write_scenario(tmp_path, quench_doc(slices=1, points=256)))
+        converge_scenario(cfg, 2, str(tmp_path / "out"))
+        doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
+        assert doc == {"reference_scheme": "cfm4", "reference_slices": 1,
+                       "reference_error_estimate": None}
+
 
 class TestCompareDirac:
     def test_requires_dirac_section(self, tmp_path):
@@ -460,6 +491,18 @@ class TestCompareDirac:
             tables.append(np.loadtxt(tmp_path / name / "dirac_compare.csv",
                                      delimiter=",", skiprows=1, ndmin=2))
         assert np.abs(tables[1] - tables[0]).max() < 1e-10
+
+    def test_initial_basis_solved_once(self, tmp_path, monkeypatch):
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args[2])
+            return eigendecompose(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_mod, "eigendecompose", counted)
+        cfg = parse_scenario(bundled_scenario_path("dirac_weak"))
+        compare_dirac_scenario(cfg, str(tmp_path / "out"))
+        assert solves == [cfg.dirac["states"]]
 
     def test_potential_evaluations_do_not_depend_on_rk4_steps(self, tmp_path, monkeypatch):
         calls = []
@@ -529,6 +572,22 @@ class TestCli:
         path = write_scenario(tmp_path, quench_doc(points=64))
         assert cli_main(["run", path, "--out", path]) == 2
         assert capsys.readouterr().err.startswith("engine failure:")
+
+    def test_converge_writes_deterministic_files(self, tmp_path, capsys):
+        doc = quench_doc(points=256, truncation=24, slices=2)
+        ts = [0.25 * i for i in range(9)]
+        doc["potential"]["scale"] = {"kind": "sampled", "times": ts,
+                                     "values": [1 + 0.5 * math.sin(0.5 * math.pi * t) ** 2
+                                                for t in ts]}
+        path = write_scenario(tmp_path, doc)
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli_main(["converge", path, "--doublings", "2", "--out", str(out)]) == 0
+            runs.append([(out / f).read_bytes()
+                         for f in ("convergence.csv", "convergence.json")])
+        assert runs[0] == runs[1]
+        assert "l2 error" in capsys.readouterr().out
 
     def test_converge_requires_two_doublings(self, tmp_path, capsys):
         path = write_scenario(tmp_path, quench_doc(points=256))
