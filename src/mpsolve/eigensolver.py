@@ -37,6 +37,8 @@ _STURM_MARGIN = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 # refinement sweeps; one more runs only if the residual guard fails
 _SWEEPS = 2
+# rows per block of the Sturm count, which bounds its memory
+_STURM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -231,18 +233,27 @@ def _shifted_solve(m: SymTridiagonal, shifts: np.ndarray,
     return (y / np.linalg.norm(y, axis=1)[:, None]).T
 
 
-def _count_below(m: SymTridiagonal, s: float) -> int:
+def _count_below(m: SymTridiagonal, s: float, limit: int | None = None) -> int:
     """Number of eigenvalues below s: the negative pivots of the LDL^T
-    factorization of H - s (Sturm count, O(N))."""
-    e2 = (m.off_diagonal ** 2).tolist()
-    pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=0.0))
+    factorization of H - s (Sturm count, O(N)).
+
+    With `limit`, the count may stop early at any value >= limit: the
+    leading rows' count is that of a leading block, whose eigenvalues lie
+    above the whole matrix's (Cauchy interlacing)."""
+    e = m.off_diagonal
+    pivmin = np.finfo(float).tiny * max(1.0, np.abs(e).max(initial=0.0) ** 2)
     count = 0
     q = 1.0
-    for d, b2 in zip(m.diagonal.tolist(), [0.0] + e2):
-        q = (d - s) - b2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        count += q < 0.0
+    for lo in range(0, m.size, _STURM_CHUNK):
+        hi = lo + _STURM_CHUNK
+        e2 = (e[max(lo - 1, 0):hi - 1] ** 2).tolist()
+        for d, b2 in zip(m.diagonal[lo:hi].tolist(), [0.0] + e2 if lo == 0 else e2):
+            q = (d - s) - b2 / q
+            if abs(q) < pivmin:
+                q = -pivmin
+            count += q < 0.0
+        if limit is not None and count >= limit:
+            break
     return count
 
 

@@ -146,15 +146,22 @@ def stepwise_hamiltonian(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
 
 
 def project(psi: WaveFunction, basis: EigenBasis) -> np.ndarray:
-    """Coefficients C_k = <k|psi> in the package inner product."""
+    """Coefficients C_k = <k|psi> in the package inner product.
+
+    The basis is real, so this is dx * (V^T @ a2) with a2 the amplitudes
+    viewed as a real (N, 2) array of (re, im): one real matrix product, no
+    complex copy of V."""
     if psi.grid != basis.source_grid:
         raise ValueError("incompatible grids")
-    return basis.vectors.T @ (psi.grid.weights * psi.amplitudes)
+    pairs = psi.grid.dx * (basis.vectors.T @ _as_pairs(psi.amplitudes))
+    return pairs.view(complex)[:, 0]
 
 
 def reconstruct(coefficients: np.ndarray, basis: EigenBasis,
                 phases: np.ndarray | None = None) -> WaveFunction:
-    """Sum_k C_k phase_k |k> back on the grid (phases default to ones)."""
+    """Sum_k C_k phase_k |k> back on the grid (phases default to ones),
+    computed as V @ c2 with c2 the coefficients viewed as a real (M, 2)
+    array of (re, im)."""
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (basis.truncation,):
         raise ValueError("coefficient vector does not match basis size")
@@ -163,7 +170,15 @@ def reconstruct(coefficients: np.ndarray, basis: EigenBasis,
         if phases.shape != c.shape:
             raise ValueError("phase vector does not match basis size")
         c = c * phases
-    return WaveFunction(basis.source_grid, basis.vectors @ c)
+    pairs = basis.vectors @ _as_pairs(c)
+    return WaveFunction(basis.source_grid, pairs.view(complex)[:, 0])
+
+
+def _as_pairs(z: np.ndarray) -> np.ndarray:
+    """A complex vector as a real (n, 2) array of (re, im), copied only if
+    it is not contiguous."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(z.size, 2)
 
 
 def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:

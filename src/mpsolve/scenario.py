@@ -18,14 +18,15 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, TextIO
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import dirac as dirac_mod
 from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunction,
                    inner_product, norm_squared)
-from .eigensolver import discretize, eigendecompose
+from .eigensolver import _count_below, discretize, eigendecompose, tridiagonal_hamiltonian
 from .projection import AVERAGING_MODES, build_schedule, evolve, project
 
 __all__ = [
@@ -46,6 +47,8 @@ DEFAULT_TRUNCATION = 64
 EMIT_CHOICES = ("energy", "coefficients", "summary")
 # most bytes a scenario's retained eigenbasis (grid.points x states doubles) may take
 MAX_BASIS_BYTES = 2 * 1024**3
+# rows per formatted block in _write_csv
+_CSV_BLOCK = 2048
 
 
 class ScenarioError(ValueError):
@@ -271,7 +274,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
     hbar = _num(units_cfg, "hbar", "units", errors, positive=True)
     mass = _num(units_cfg, "mass", "units", errors, positive=True)
 
+    known = len(errors)
     potential, profile = _parse_potential(raw.get("potential"), errors)
+    potential_ok = len(errors) == known
 
     sched = raw.get("schedule")
     if not isinstance(sched, dict):
@@ -299,9 +304,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
             truncation = _num(basis_cfg, "truncation", "basis", errors,
                               integer=True, positive=True)
     # truncation None here is either null (the full basis) or already a violation
+    basis_fits = False
     if points is not None and (truncation is not None or basis_cfg.get("truncation") is None):
         states = min(points, truncation or points)
-        if points * states * 8 > MAX_BASIS_BYTES:
+        basis_fits = points * states * 8 <= MAX_BASIS_BYTES
+        if not basis_fits:
             errors.append("basis: a %d x %d eigenbasis takes %d bytes, more than %d"
                           % (points, states, points * states * 8, MAX_BASIS_BYTES))
 
@@ -387,6 +394,20 @@ def parse_scenario(path: str) -> ScenarioConfig:
         and np.allclose(potential.x_samples, grid.x, rtol=0, atol=1e-12)
     ):
         errors.append("potential.x_samples: must be the grid nodes")
+        potential_ok = False
+
+    if (grid is not None and None not in (hbar, mass) and potential_ok
+            and basis_fits and truncation is not None and truncation < points):
+        try:
+            resolved = _resolved_states(HamiltonianSpec(mass, hbar, potential), grid, t0,
+                                        truncation)
+        except ValueError as exc:  # a Hamiltonian entry beyond the double range
+            errors.append("potential: %s" % exc)
+        else:
+            if resolved < truncation:
+                errors.append("grid: too coarse for basis.truncation %d: only %d "
+                              "eigenvalues lie below min V + hbar^2/(2 mass dx^2), a "
+                              "quarter of the kinetic band" % (truncation, resolved))
 
     if errors:
         raise ScenarioError(errors)
@@ -403,15 +424,59 @@ def parse_scenario(path: str) -> ScenarioConfig:
     )
 
 
+def _resolved_states(h: HamiltonianSpec, grid: Grid, t0: float | None, limit: int) -> int:
+    """Fewest eigenvalues below min V + hbar^2/(2 m dx^2) over the
+    Hamiltonians of a run, counted up to `limit`.
+
+    Above a quarter of the kinetic band 2 hbar^2/(m dx^2) the grid no longer
+    resolves a state: the upper states of a coarse grid pair up nearly
+    degenerate, and a truncation that cuts such a pair makes projections
+    depend on rounding.  Harmonic kinds are counted once, at the largest
+    scale the profile takes (the stiffest well holds the fewest states);
+    tabulated ones at t0 and at every sample time."""
+    pot = h.potential
+    if pot.kind == "tabulated":
+        times = pot.breakpoints().tolist()
+        if t0 is not None and times[0] <= t0 <= times[-1]:
+            times.append(t0)
+        wells = [h.potential_on_grid(grid, t) for t in times]
+    else:  # a harmonic potential's profile is the constant 1
+        profile = pot.profile
+        if profile.kind == "sampled":
+            scale = float(profile.values.max())
+        elif profile.kind == "constant":
+            scale = profile.eta
+        else:
+            scale = max(1.0, profile.eta)
+        wells = [0.5 * scale * pot.k * grid.x**2]
+    quarter_band = 0.5 * h.hbar**2 / (h.mass * grid.dx**2)
+    return min(_count_below(tridiagonal_hamiltonian(h, grid, v), v.min() + quarter_band,
+                            limit) for v in wells)
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(fh: TextIO, header: list[str], rows) -> None:
+def _write_csv(fh: TextIO, header: list[str], rows: Iterable[Sequence]) -> None:
+    """The header line, then one line per row of `rows` (any iterable):
+    floats as %.17g, as `_fmt` gives them, anything else as str().  Rows are
+    formatted _CSV_BLOCK at a time with one %-template per block, so the
+    writer's memory does not grow with the row count."""
+    def template(kinds: tuple[type, ...]) -> str:
+        return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                          for v in row) + "\n")
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        values = tuple(chain.from_iterable(block))
+        kinds = tuple(map(type, block[0]))
+        if (set(map(len, block)) == {len(kinds)}
+                and tuple(map(type, values)) == kinds * len(block)):
+            fill = template(kinds) * len(block)
+        else:  # rows differ in length or in the types of a column
+            fill = "".join(template(tuple(map(type, row))) for row in block)
+        fh.write(fill % values)
 
 
 def _write_json(fh: TextIO, doc: dict) -> None:
@@ -484,14 +549,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         psi0 = _initial_state(config)
         schedule = build_schedule(config.t0, config.t1, config.slices,
                                   config.profile, config.averaging)
+        tick = time.perf_counter()
         result = evolve(psi0, config.hamiltonian, schedule, config.truncation)
+        evolve_s = time.perf_counter() - tick
 
         phase = None
         if config.reference:
             schedule = build_schedule(config.t0, config.t1, config.slices,
                                       None, config.averaging)
+            tick = time.perf_counter()
             ref = evolve(psi0, _reference_hamiltonian(config), schedule,
                          config.truncation)
+            evolve_s += time.perf_counter() - tick
             phase = float(np.angle(inner_product(ref.final_state, result.final_state)))
 
         last = result.reports[-1]
@@ -505,18 +574,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
             eigensolves=result.eigensolves,
         )
 
+        tick = time.perf_counter()
         if "energy" in config.emit:
             with create("energy.csv") as fh:
                 _write_csv(fh, ["t_end", "energy", "norm"],
-                           [(r.t_end, r.energy, r.norm_squared) for r in result.reports])
+                           ((r.t_end, r.energy, r.norm_squared) for r in result.reports))
         if "coefficients" in config.emit:
-            rows = []
-            for r in result.reports:
-                for k, c in enumerate(r.coefficients):
-                    rows.append((r.slice_index, k, float(c.real), float(c.imag),
-                                 float(abs(c) ** 2)))
             with create("coefficients.csv") as fh:
-                _write_csv(fh, ["slice", "k", "re", "im", "abs2"], rows)
+                _write_csv(fh, ["slice", "k", "re", "im", "abs2"],
+                           _coefficient_rows(result.reports))
         if "summary" in config.emit:
             with create("summary.json") as fh:
                 _write_json(fh, {
@@ -530,8 +596,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                     "phase_vs_reference": summary.phase_vs_reference,
                     "wall_time_s": summary.wall_time_s,
                     "eigensolves": summary.eigensolves,
+                    "timings": {"evolve_s": evolve_s,
+                                "output_s": time.perf_counter() - tick},
                 })
         return summary
+
+
+def _coefficient_rows(reports) -> Iterator[tuple]:
+    """(slice, k, re, im, |C_k|^2) per retained state of every report."""
+    for r in reports:
+        c = r.coefficients
+        for k, (re, im, z) in enumerate(zip(c.real.tolist(), c.imag.tolist(), c.tolist())):
+            yield r.slice_index, k, re, im, abs(z) ** 2
 
 
 def converge_scenario(config: ScenarioConfig, doublings: int,
@@ -654,8 +730,7 @@ def compare_dirac_scenario(config: ScenarioConfig,
         if traj is not None:
             norms = traj.norm_history
             with create("norm_history.csv") as fh:
-                _write_csv(fh, ["t", "norm"],
-                           list(zip(traj.times.tolist(), norms.tolist())))
+                _write_csv(fh, ["t", "norm"], zip(traj.times.tolist(), norms.tolist()))
             report = dirac_mod.divergence_diagnostic(traj)
         else:
             report = dirac_mod.DivergenceReport(math.inf, math.inf, float(t0))

@@ -191,6 +191,17 @@ class TestWarmStart:
                   energies[-1] + 1.0):
             assert _count_below(matrix, s) == np.count_nonzero(energies < s)
 
+    def test_sturm_count_over_blocks_and_with_limit(self):
+        # 10000 rows take three blocks; the discrete Laplacian's spectrum is known
+        n = 10000
+        matrix = SymTridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0))
+        energies = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        for s in (-1.0, 1e-6, 0.5, 1.0, 3.0, 5.0):
+            count = np.count_nonzero(energies < s)
+            assert _count_below(matrix, s) == count
+            assert _count_below(matrix, s, limit=count + 1) == count
+            assert count >= _count_below(matrix, s, limit=min(count, 10)) >= min(count, 10)
+
 
 class TestResidual:
     def test_exact_small_case(self):

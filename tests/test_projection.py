@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mpsolve import (
+    EigenBasis,
     Grid,
     HamiltonianSpec,
     PotentialSpec,
@@ -85,6 +86,29 @@ def basis64():
 @pytest.fixture(scope="module")
 def ground(basis64):
     return basis64.state(0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(basis, amplitudes, coefficients): an orthonormal basis in C or
+    Fortran order, and inputs that are contiguous complex, strided complex
+    (every other entry of a longer array) or real."""
+    n = draw(st.integers(3, 160))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Grid(-3.0, 3.0, n)
+    q = np.linalg.qr(rng.normal(size=(n, m)))[0] / np.sqrt(g.dx)
+    if draw(st.booleans()):
+        q = np.asfortranarray(q)
+    layout = draw(st.sampled_from(("contiguous", "strided", "real")))
+
+    def vector(size):
+        z = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+        if layout == "strided":
+            return z[::2]
+        return (z.real if layout == "real" else z)[:size].copy()
+
+    return EigenBasis(np.arange(m, dtype=float), q, g), vector(n), vector(m)
 
 
 class TestBuildSchedule:
@@ -215,6 +239,32 @@ class TestProjectReconstruct:
     def test_length_mismatch(self, basis64):
         with pytest.raises(ValueError):
             reconstruct(np.ones(3), basis64)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_real_kernel_matches_complex_products(self, case):
+        basis, amps, coeffs = case
+        v, dx = basis.vectors, basis.source_grid.dx
+        # relative to the sum of |terms|, the scale of any rounding error
+        got = project(WaveFunction(basis.source_grid, amps), basis)
+        want = v.T @ (dx * np.asarray(amps, dtype=complex))
+        assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(v).T @ np.abs(dx * amps)))
+        got = reconstruct(coeffs, basis).amplitudes
+        want = v @ np.asarray(coeffs, dtype=complex)
+        assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(v) @ np.abs(coeffs)))
+        back = project(reconstruct(coeffs, basis), basis)
+        assert np.abs(back - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+
+    def test_no_complex_copy_of_the_basis(self, basis64, ground):
+        # a complex copy of the 1024 x 64 basis alone takes 1 MiB
+        c = project(ground, basis64)
+        for call in (lambda: project(ground, basis64), lambda: reconstruct(c, basis64)):
+            tracemalloc.start()
+            try:
+                call()
+                assert tracemalloc.get_traced_memory()[1] < 0.5 * 2**20
+            finally:
+                tracemalloc.stop()
 
 
 class TestIntermediateEnergy:

@@ -1,9 +1,11 @@
 """Tests for scenario parsing, the run/converge/compare drivers, and the CLI."""
 
 import copy
+import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
-from mpsolve.core import HamiltonianSpec
-from mpsolve.eigensolver import eigendecompose
+from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec
+from mpsolve.eigensolver import discretize, eigendecompose
 from mpsolve.projection import build_schedule, evolve
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
@@ -106,7 +108,7 @@ def tabulated_doc(t_samples=(0.0, 2.0), x_samples=None):
                       "t_samples": list(t_samples),
                       "v_samples": [(0.5 * xs**2).tolist()] * len(t_samples)},
         "schedule": {"t0": 0.0, "t1": 2.0, "slices": 4},
-        "basis": {"truncation": 4},
+        "basis": {"truncation": 2},
     }
 
 
@@ -118,6 +120,12 @@ def smooth_ramp_doc():
 def dirac_weak_doc():
     with open(bundled_scenario_path("dirac_weak"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def coarse_violation(truncation, resolved):
+    return ("grid: too coarse for basis.truncation %d: only %d eigenvalues lie below "
+            "min V + hbar^2/(2 mass dx^2), a quarter of the kinetic band"
+            % (truncation, resolved))
 
 
 def with_change(doc, path, value):
@@ -217,6 +225,65 @@ class TestValidate:
         assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.splitlines() == ["invalid scenario: " + violation]
 
+    def test_grid_too_coarse_for_the_retained_states(self, tmp_path, capsys):
+        # the 16 lowest states of k = 4 on 64 nodes end in a pair split by
+        # 8e-7, where the oscillator's spacing is 2
+        g = Grid(-12.0, 12.0, 64)
+        stiff = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(4.0))
+        energies = eigendecompose(discretize(stiff, g, 0.0), g).energies
+        assert np.diff(energies[:16]).min() < 1e-6
+        doc = with_change(quench_doc(points=64, truncation=16), ("potential",),
+                          {"kind": "harmonic", "k": 4.0})
+        doc["schedule"]["slices"] = 0
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid scenario: schedule.slices: must be >= 1",
+            "invalid scenario: " + coarse_violation(16, 2),
+        ]
+
+    @pytest.mark.parametrize("potential, resolved", [
+        ({"kind": "harmonic", "k": 1.0}, None),
+        ({"kind": "harmonic", "k": 4.0}, 29),
+        ({"kind": "scaled_harmonic", "k": 1.0,
+          "scale": {"kind": "step", "eta": 0.25, "t_on": 0.0}}, None),
+        ({"kind": "scaled_harmonic", "k": 1.0,
+          "scale": {"kind": "step", "eta": 4.0, "t_on": 1.0}}, 29),
+        ({"kind": "scaled_harmonic", "k": 1.0,
+          "scale": {"kind": "pulse", "eta": 4.0, "t_on": 0.5, "t_off": 1.0}}, 29),
+        ({"kind": "scaled_harmonic", "k": 1.0,
+          "scale": {"kind": "sampled", "times": [0.0, 1.0, 2.0], "values": [1.0, 4.0, 1.0]}},
+         29),
+        ({"kind": "scaled_harmonic", "k": 2.0,
+          "scale": {"kind": "constant", "value": 2.0}}, 29),
+    ], ids=["harmonic", "stiff_harmonic", "weaker_step", "stiffer_step", "stiffer_pulse",
+            "stiffer_sampled", "stiff_constant"])
+    def test_resolution_counted_at_the_stiffest_scale(self, tmp_path, potential, resolved):
+        # 256 nodes on [-12, 12] resolve 58 states of k = 1 and 29 of k = 4
+        doc = with_change(quench_doc(points=256, truncation=40), ("potential",), potential)
+        try:
+            parse_scenario(write_scenario(tmp_path, doc))
+            violations = []
+        except ScenarioError as exc:
+            violations = exc.violations
+        assert violations == ([] if resolved is None else [coarse_violation(40, resolved)])
+
+    def test_hamiltonian_beyond_double_range(self, tmp_path, capsys):
+        doc = with_change(quench_doc(points=256, truncation=8), ("potential",),
+                          {"kind": "harmonic", "k": 1e308})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid scenario: potential: matrix entries must be finite"]
+
+    def test_tabulated_resolution_counted_at_every_sample(self, tmp_path):
+        doc = tabulated_doc(t_samples=(0.0, 1.0, 2.0))
+        parse_scenario(write_scenario(tmp_path, doc))
+        xs = np.linspace(-2.0, 2.0, 9)
+        doc["potential"]["v_samples"][2] = (80.0 * xs**2).tolist()
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert excinfo.value.violations == [coarse_violation(2, 0)]
+
     @pytest.mark.parametrize("points, truncation, ok", [
         (16384, None, True), (16385, None, False), (4194304, 64, True),
         (4194305, 64, False), (10**12, 64, False),
@@ -266,6 +333,50 @@ class TestValidate:
                 pass
 
 
+def per_value_csv(header, rows):
+    """The CSV text of the writer that formatted one value at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+BLOCK = scenario_mod._CSV_BLOCK
+SPECIAL_FLOATS = (-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, -2.5e-17)
+
+
+def csv_table(n, mixed):
+    """n rows of (int, float, float, str); with `mixed` the third column
+    also holds numpy floats, ints and bools, and one row is shorter."""
+    for i in range(n):
+        third = SPECIAL_FLOATS[(3 * i + 1) % 8]
+        if mixed:
+            third = (np.float64(third), i, True, third)[i % 4]
+        row = (i, SPECIAL_FLOATS[i % 8], third, "" if i == 0 else "s%d" % i)
+        yield row[:3] if mixed and i == n - 1 else row
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1],
+                             ids=["empty", "one_row", "one_block", "block_plus_one"])
+    def test_bytes_match_per_value_formatting(self, n, mixed):
+        header = ["slice", "a", "b", "order"]
+        fh = io.StringIO()
+        scenario_mod._write_csv(fh, header, csv_table(n, mixed))
+        assert fh.getvalue() == per_value_csv(header, csv_table(n, mixed))
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        rows = ((j // 64, j % 64, 0.1 * j, -1.0 / (j + 1), 1e-3 * j) for j in range(200_000))
+        with open(tmp_path / "rows.csv", "w", encoding="utf-8", newline="\n") as fh:
+            tracemalloc.start()
+            try:
+                scenario_mod._write_csv(fh, ["slice", "k", "re", "im", "abs2"], rows)
+                assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
+            finally:
+                tracemalloc.stop()
+
+
 class TestRun:
     def test_quench_energy_ratio(self, tmp_path):
         cfg = parse_scenario(write_scenario(tmp_path, quench_doc()))
@@ -309,12 +420,13 @@ class TestRun:
         for name in ("energy.csv", "summary.json"):
             first = (tmp_path / "a" / name).read_bytes()
             second = (tmp_path / "b" / name).read_bytes()
-            # summary.json differs only in wall_time_s
+            # summary.json differs only in its wall-clock fields
             if name == "summary.json":
                 a = json.loads(first)
                 b = json.loads(second)
-                a.pop("wall_time_s")
-                b.pop("wall_time_s")
+                for doc in (a, b):
+                    doc.pop("wall_time_s")
+                    assert set(doc.pop("timings")) == {"evolve_s", "output_s"}
                 assert a == b
             else:
                 assert first == second
@@ -379,7 +491,7 @@ class TestRun:
         assert list(out.iterdir()) == []
 
     def test_output_path_taken_by_directory(self, tmp_path, capsys):
-        doc = quench_doc(points=256)
+        doc = quench_doc(points=256, truncation=24)
         doc["outputs"]["emit"] = ["energy", "coefficients", "summary"]
         out = tmp_path / "out"
         (out / "summary.json").mkdir(parents=True)
@@ -436,7 +548,8 @@ class TestConverge:
             distance(ref, final(cfg.slices // 2, "cfm4")), rel=1e-12)
 
     def test_one_slice_reference_has_no_error_estimate(self, tmp_path):
-        cfg = parse_scenario(write_scenario(tmp_path, quench_doc(slices=1, points=256)))
+        doc = quench_doc(slices=1, points=256, truncation=24)
+        cfg = parse_scenario(write_scenario(tmp_path, doc))
         converge_scenario(cfg, 2, str(tmp_path / "out"))
         doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
         assert doc == {"reference_scheme": "cfm4", "reference_slices": 1,
@@ -563,7 +676,7 @@ class TestCli:
         assert "slices" in capsys.readouterr().err
 
     def test_run_exit_code_and_output(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, quench_doc(points=256))
+        path = write_scenario(tmp_path, quench_doc(points=256, truncation=24))
         assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 0
         assert "final energy ratio" in capsys.readouterr().out
         assert (tmp_path / "out" / "energy.csv").exists()
@@ -590,7 +703,7 @@ class TestCli:
         assert "l2 error" in capsys.readouterr().out
 
     def test_converge_requires_two_doublings(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, quench_doc(points=256))
+        path = write_scenario(tmp_path, quench_doc(points=256, truncation=24))
         code = cli_main(["converge", path, "--doublings", "1",
                          "--out", str(tmp_path / "out")])
         assert code == 1
