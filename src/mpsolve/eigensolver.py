@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .core import Grid, HamiltonianSpec, WaveFunction
 
@@ -37,8 +37,6 @@ _STURM_MARGIN = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 # refinement sweeps; one more runs only if the residual guard fails
 _SWEEPS = 2
-# rows per block of the Sturm count, which bounds its memory
-_STURM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -162,15 +160,12 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
 def _finish(energies: np.ndarray, vectors: np.ndarray, grid: Grid,
             origin: str) -> EigenBasis:
     """Basis from l2-normalized eigenvectors: rescaled to the package
-    metric and sign-fixed."""
+    metric, and each column negated if its first component above
+    _SIGN_THRESHOLD (its largest one if none is) is negative."""
     vectors = vectors / np.sqrt(grid.dx)
-
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        sig = np.nonzero(np.abs(col) > _SIGN_THRESHOLD)[0]
-        lead = col[sig[0]] if sig.size else col[np.argmax(np.abs(col))]
-        if lead < 0:
-            vectors[:, k] = -col
+    big = np.abs(vectors) > _SIGN_THRESHOLD
+    lead = np.where(big.any(axis=0), big.argmax(axis=0), np.abs(vectors).argmax(axis=0))
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return EigenBasis(energies, vectors, grid, origin)
 
 
@@ -178,36 +173,46 @@ def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
             truncation: int) -> EigenBasis | None:
     """Lowest `truncation` eigenpairs of m refined from `guess`, or None.
 
-    Each sweep solves (H - s_k) y_k = v_k once per state, with s_k the
-    current Rayleigh quotient (the guess's, with this H, at the start), and
-    then does Rayleigh-Ritz on the span of the y_k.  The result is kept only
-    if every residual is <= _RESIDUAL_TOL * ||H||, the vectors are
+    The states are held one per row.  Each sweep solves (H - s_k) y_k = v_k
+    for all of them in one `_shifted_solve`, with s_k the current Rayleigh
+    quotient (the guess's, with this H, at the start).  As
+    H y_k = v_k + s_k y_k, the Rayleigh quotients and the Ritz matrix Y H Y^T
+    need no matvec.  The first sweep is Rayleigh-quotient iteration; the
+    later ones do Rayleigh-Ritz on the span of the y_k.  The result is kept
+    only if every residual is <= _RESIDUAL_TOL * ||H||, the vectors are
     orthonormal to _ORTHONORMAL_TOL and exactly `truncation` eigenvalues lie
     below the highest refined one plus _STURM_MARGIN * ||H||.
     """
     if guess.vectors.shape != (m.size, truncation):
         return None
-    h_norm = np.abs(m.diagonal).max() + 2 * np.abs(m.off_diagonal).max()  # >= ||H||_2
-    v = guess.vectors
-    theta = np.einsum("ij,ij->j", v, m.matvec(v)) / np.einsum("ij,ij->j", v, v)
+    h_norm = _norm_bound(m)
+    v = guess.vectors.T
+    theta = np.einsum("ij,ji->i", v, m.matvec(v.T)) / np.einsum("ij,ij->i", v, v)
     for sweep in range(_SWEEPS + 1):
         y = _shifted_solve(m, theta, v)
         if y is None:
             return None
-        # Rayleigh-Ritz, eigh(Y^T H Y, Y^T Y) by Cholesky reduction.  numpy
+        scale = 1.0 / np.linalg.norm(y, axis=1)[:, None]
+        y *= scale
+        hy = v * scale  # H y_k - s_k y_k
+        if sweep == 0:
+            theta, v = theta + np.einsum("ij,ij->i", y, hy), y
+            continue
+        # Rayleigh-Ritz, eigh(Y H Y^T, Y Y^T) by Cholesky reduction.  numpy
         # only: scipy's LAPACK runs on a second OpenBLAS thread pool, and
         # alternating between two multi-threaded pools triples the cost.
+        gram = y @ y.T
+        ritz = y @ hy.T + gram * theta
         try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(y.T @ y))
+            l_inv = np.linalg.inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             return None
-        theta, z = np.linalg.eigh(l_inv @ (y.T @ m.matvec(y)) @ l_inv.T)
-        v = y @ (l_inv.T @ z)
-        if sweep + 1 >= _SWEEPS:
-            basis = _finish(theta, v, grid, "refined")
-            # residual() measures the rescaled vectors; sqrt(dx) undoes that
-            if residual(m, basis).max() * np.sqrt(grid.dx) <= _RESIDUAL_TOL * h_norm:
-                break
+        theta, z = np.linalg.eigh(l_inv @ (0.5 * (ritz + ritz.T)) @ l_inv.T)
+        v = (l_inv.T @ z).T @ y
+        basis = _finish(theta, v.T, grid, "refined")
+        # residual() measures the rescaled vectors; sqrt(dx) undoes that
+        if residual(m, basis).max() * np.sqrt(grid.dx) <= _RESIDUAL_TOL * h_norm:
+            break
     else:
         return None
     gram = grid.dx * (basis.vectors.T @ basis.vectors)
@@ -218,42 +223,38 @@ def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
     return basis
 
 
+def _norm_bound(m: SymTridiagonal) -> float:
+    """max |d| + 2 max |e|, an upper bound on ||H||_2."""
+    return np.abs(m.diagonal).max() + 2 * np.abs(m.off_diagonal).max(initial=0.0)
+
+
 def _shifted_solve(m: SymTridiagonal, shifts: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray | None:
-    """Unit columns y_k solving (H - shifts[k]) y_k = rhs[:, k], or None if
-    a system is singular."""
-    y = np.empty((rhs.shape[1], rhs.shape[0]))
-    for k, s in enumerate(shifts):
-        _, _, _, y[k], info = dgtsv(m.off_diagonal, m.diagonal - s, m.off_diagonal,
-                                    rhs[:, k])
-        if info != 0:
-            return None
-    if not np.all(np.isfinite(y)):
+                   rows: np.ndarray) -> np.ndarray | None:
+    """Rows y_k solving (H - shifts[k]) y_k = rows[k], or None if a system is
+    singular or a result not finite.  All of them are one dgtsv call on the
+    block-diagonal matrix diag(H - shifts[0], H - shifts[1], ...): the zero
+    off-diagonal between blocks makes each block's result bit-identical to
+    its own call.  dgtsv overwrites only copies."""
+    k, n = rows.shape
+    off = np.zeros((k, n))
+    off[:, :-1] = m.off_diagonal
+    off = off.ravel()[:-1]
+    diag = (m.diagonal - shifts[:, None]).ravel()
+    _, _, _, y, info = dgtsv(off, diag, off, rows.reshape(-1, 1), overwrite_d=1)
+    if info != 0 or not np.all(np.isfinite(y)):
         return None
-    return (y / np.linalg.norm(y, axis=1)[:, None]).T
+    return y.reshape(k, n)
 
 
-def _count_below(m: SymTridiagonal, s: float, limit: int | None = None) -> int:
-    """Number of eigenvalues below s: the negative pivots of the LDL^T
-    factorization of H - s (Sturm count, O(N)).
-
-    With `limit`, the count may stop early at any value >= limit: the
-    leading rows' count is that of a leading block, whose eigenvalues lie
-    above the whole matrix's (Cauchy interlacing)."""
-    e = m.off_diagonal
-    pivmin = np.finfo(float).tiny * max(1.0, np.abs(e).max(initial=0.0) ** 2)
-    count = 0
-    q = 1.0
-    for lo in range(0, m.size, _STURM_CHUNK):
-        hi = lo + _STURM_CHUNK
-        e2 = (e[max(lo - 1, 0):hi - 1] ** 2).tolist()
-        for d, b2 in zip(m.diagonal[lo:hi].tolist(), [0.0] + e2 if lo == 0 else e2):
-            q = (d - s) - b2 / q
-            if abs(q) < pivmin:
-                q = -pivmin
-            count += q < 0.0
-        if limit is not None and count >= limit:
-            break
+def _count_below(m: SymTridiagonal, s: float) -> int:
+    """Number of eigenvalues below s (Sturm count): one LAPACK dstebz call
+    on (-2 ||H|| - 1, s], with a tolerance as wide as that interval because
+    only the count is wanted, not the eigenvalues."""
+    lo = -1.0 - 2.0 * _norm_bound(m)
+    if not s > lo:
+        return 0
+    e = m.off_diagonal if m.size > 1 else np.zeros(1)  # the wrapper wants >= 1
+    count, *_ = dstebz(m.diagonal, e, 1, lo, s, 0, 0, s - lo, "B")
     return count
 
 

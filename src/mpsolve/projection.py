@@ -20,6 +20,7 @@ slice.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +96,15 @@ class EvolutionResult:
     two under "cfm4") got its basis: "reused" (same matrix as the factor
     before), "refined" (warm start accepted) or "lapack" (cold solve or
     fallback); "fallbacks" counts the rejected warm starts among the
-    "lapack" ones."""
+    "lapack" ones.  `eigensolve_s` is the wall time spent in those
+    `eigendecompose` calls."""
 
     final_state: WaveFunction
     reports: tuple[ProjectionStepReport, ...]
     final_basis: EigenBasis | None = None
     final_coefficients: np.ndarray | None = None
     eigensolves: dict[str, int] = field(default_factory=dict)
+    eigensolve_s: float = 0.0
 
 
 def build_schedule(t0: float, t1: float, slices: int,
@@ -236,6 +239,7 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
 
     diagonal = basis = None
     counts = dict.fromkeys(("reused", "refined", "lapack", "fallbacks"), 0)
+    eigensolve_s = 0.0
     reports = []
     bounds = schedule.boundaries
     for j in range(schedule.slices):
@@ -244,10 +248,12 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
                                          schedule.averaging, scheme):
             # only the diagonal depends on the time
             if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
+                tick = time.perf_counter()
                 try:
                     basis = eigendecompose(matrix, grid, truncation, guess=basis)
                 except RuntimeError as exc:
                     raise RuntimeError("eigensolver failed at slice %d" % j) from exc
+                eigensolve_s += time.perf_counter() - tick
                 diagonal = matrix.diagonal
                 refreshed = True
                 counts["refined" if basis.origin == "refined" else "lapack"] += 1
@@ -272,4 +278,4 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     final_coeffs = project(state, final_basis) if final_basis is not None else None
     return EvolutionResult(final_state=state, reports=tuple(reports),
                            final_basis=final_basis, final_coefficients=final_coeffs,
-                           eigensolves=counts)
+                           eigensolves=counts, eigensolve_s=eigensolve_s)

@@ -26,7 +26,8 @@ import numpy as np
 from . import dirac as dirac_mod
 from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunction,
                    inner_product, norm_squared)
-from .eigensolver import _count_below, discretize, eigendecompose, tridiagonal_hamiltonian
+from .eigensolver import (SymTridiagonal, _count_below, discretize, eigendecompose,
+                          tridiagonal_hamiltonian)
 from .projection import AVERAGING_MODES, build_schedule, evolve, project
 
 __all__ = [
@@ -396,18 +397,19 @@ def parse_scenario(path: str) -> ScenarioConfig:
         errors.append("potential.x_samples: must be the grid nodes")
         potential_ok = False
 
-    if (grid is not None and None not in (hbar, mass) and potential_ok
-            and basis_fits and truncation is not None and truncation < points):
+    if grid is not None and None not in (hbar, mass) and potential_ok and basis_fits:
         try:
-            resolved = _resolved_states(HamiltonianSpec(mass, hbar, potential), grid, t0,
-                                        truncation)
+            with np.errstate(over="ignore", invalid="ignore"):
+                wells = _wells(HamiltonianSpec(mass, hbar, potential), grid, t0)
         except ValueError as exc:  # a Hamiltonian entry beyond the double range
             errors.append("potential: %s" % exc)
         else:
-            if resolved < truncation:
-                errors.append("grid: too coarse for basis.truncation %d: only %d "
-                              "eigenvalues lie below min V + hbar^2/(2 mass dx^2), a "
-                              "quarter of the kinetic band" % (truncation, resolved))
+            if truncation is not None and truncation < points:
+                resolved = min(_count_below(m, s) for m, s in wells)
+                if resolved < truncation:
+                    errors.append("grid: too coarse for basis.truncation %d: only %d "
+                                  "eigenvalues lie below min V + hbar^2/(2 mass dx^2), a "
+                                  "quarter of the kinetic band" % (truncation, resolved))
 
     if errors:
         raise ScenarioError(errors)
@@ -424,14 +426,16 @@ def parse_scenario(path: str) -> ScenarioConfig:
     )
 
 
-def _resolved_states(h: HamiltonianSpec, grid: Grid, t0: float | None, limit: int) -> int:
-    """Fewest eigenvalues below min V + hbar^2/(2 m dx^2) over the
-    Hamiltonians of a run, counted up to `limit`.
+def _wells(h: HamiltonianSpec, grid: Grid,
+           t0: float | None) -> list[tuple[SymTridiagonal, float]]:
+    """The Hamiltonians that bound a run's resolution, each with its
+    min V + hbar^2/(2 m dx^2); ValueError if an entry is beyond the double
+    range.
 
     Above a quarter of the kinetic band 2 hbar^2/(m dx^2) the grid no longer
     resolves a state: the upper states of a coarse grid pair up nearly
     degenerate, and a truncation that cuts such a pair makes projections
-    depend on rounding.  Harmonic kinds are counted once, at the largest
+    depend on rounding.  Harmonic kinds are taken once, at the largest
     scale the profile takes (the stiffest well holds the fewest states);
     tabulated ones at t0 and at every sample time."""
     pot = h.potential
@@ -450,8 +454,7 @@ def _resolved_states(h: HamiltonianSpec, grid: Grid, t0: float | None, limit: in
             scale = max(1.0, profile.eta)
         wells = [0.5 * scale * pot.k * grid.x**2]
     quarter_band = 0.5 * h.hbar**2 / (h.mass * grid.dx**2)
-    return min(_count_below(tridiagonal_hamiltonian(h, grid, v), v.min() + quarter_band,
-                            limit) for v in wells)
+    return [(tridiagonal_hamiltonian(h, grid, v), v.min() + quarter_band) for v in wells]
 
 
 def _fmt(x: float) -> str:
@@ -552,6 +555,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         tick = time.perf_counter()
         result = evolve(psi0, config.hamiltonian, schedule, config.truncation)
         evolve_s = time.perf_counter() - tick
+        eigensolve_s = result.eigensolve_s
 
         phase = None
         if config.reference:
@@ -561,6 +565,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
             ref = evolve(psi0, _reference_hamiltonian(config), schedule,
                          config.truncation)
             evolve_s += time.perf_counter() - tick
+            eigensolve_s += ref.eigensolve_s
             phase = float(np.angle(inner_product(ref.final_state, result.final_state)))
 
         last = result.reports[-1]
@@ -597,6 +602,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                     "wall_time_s": summary.wall_time_s,
                     "eigensolves": summary.eigensolves,
                     "timings": {"evolve_s": evolve_s,
+                                "eigensolve_s": eigensolve_s,
                                 "output_s": time.perf_counter() - tick},
                 })
         return summary

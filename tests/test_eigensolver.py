@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgtsv
 
 from mpsolve import (
     EigenBasis,
@@ -14,7 +15,7 @@ from mpsolve import (
     inner_product,
     residual,
 )
-from mpsolve.eigensolver import _count_below
+from mpsolve.eigensolver import _count_below, _finish, _shifted_solve
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -76,6 +77,23 @@ class TestEigendecompose:
             [inner_product(harmonic_basis.state(i), harmonic_basis.state(j))
              for j in range(11)] for i in range(11)])
         assert np.abs(gram - np.eye(11)).max() < 1e-10
+
+    def test_sign_fix_matches_per_column_loop(self):
+        g = Grid(0.0, 1.0, 6)
+        vectors = np.random.default_rng(2).normal(size=(6, 5))
+        vectors[:2, 1] = [-1e-9, 1e-9]  # leading components below the threshold
+        vectors[:, 3] *= 1e-9  # no component above it: the largest decides
+        vectors[:, 4] = [1e-10, -3e-9, 0.0, 2e-9, 0.0, -1e-10]
+        expected = vectors / np.sqrt(g.dx)
+        for k in range(5):
+            col = expected[:, k]
+            sig = np.nonzero(np.abs(col) > 1e-8)[0]
+            lead = col[sig[0]] if sig.size else col[np.argmax(np.abs(col))]
+            if lead < 0:
+                expected[:, k] = -col
+        basis = _finish(np.arange(5.0), vectors, g, "lapack")
+        assert np.array_equal(basis.vectors, expected)
+        assert np.array_equal(np.signbit(basis.vectors), np.signbit(expected))
 
     def test_sign_convention(self, harmonic_basis):
         for k in range(11):
@@ -192,15 +210,66 @@ class TestWarmStart:
             assert _count_below(matrix, s) == np.count_nonzero(energies < s)
 
     def test_sturm_count_over_blocks_and_with_limit(self):
-        # 10000 rows take three blocks; the discrete Laplacian's spectrum is known
+        # 10000 rows; the discrete Laplacian's spectrum is known
         n = 10000
         matrix = SymTridiagonal(np.full(n, 2.0), np.full(n - 1, -1.0))
         energies = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
         for s in (-1.0, 1e-6, 0.5, 1.0, 3.0, 5.0):
-            count = np.count_nonzero(energies < s)
-            assert _count_below(matrix, s) == count
-            assert _count_below(matrix, s, limit=count + 1) == count
-            assert count >= _count_below(matrix, s, limit=min(count, 10)) >= min(count, 10)
+            assert _count_below(matrix, s) == np.count_nonzero(energies < s)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           split=st.floats(0.0, 0.5), tiny=st.sampled_from([0.0, 1e-300, 1e-12]),
+           k=st.integers(0, 299))
+    def test_sturm_count_matches_dense_spectrum(self, n, seed, split, tiny, k):
+        # exactly zero and tiny off-diagonals split the matrix into blocks
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 3)
+        e[rng.random(n - 1) < split] = 0.0
+        e[rng.random(n - 1) < split] = tiny
+        matrix = SymTridiagonal(d, e)
+        w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        h_norm = np.abs(d).max() + 2 * np.abs(e).max(initial=0.0)
+        k = min(k, n - 1)
+        shifts = [w[0] - 1e-9 * h_norm, w[-1] + 1e-9 * h_norm,
+                  w[k] - 1e-9 * h_norm, w[k] + 1e-9 * h_norm]
+        if k + 1 < n:
+            shifts.append(0.5 * (w[k] + w[k + 1]))
+        for s in shifts:
+            if np.abs(w - s).min() > 1e-12 * h_norm:  # not within rounding of a root
+                assert _count_below(matrix, s) == np.count_nonzero(w < s)
+
+    def test_block_solve_matches_one_call_per_shift(self):
+        g = Grid(-12.0, 12.0, 200)
+        matrix = harmonic_matrix(1.0, g)
+        rng = np.random.default_rng(5)
+        shifts = rng.uniform(0.0, 20.0, size=6)
+        rows = rng.normal(size=(6, 200))
+        block = _shifted_solve(matrix, shifts, rows)
+        for k in range(6):
+            *_, y, info = dgtsv(matrix.off_diagonal, matrix.diagonal - shifts[k],
+                                matrix.off_diagonal, rows[k])
+            assert info == 0 and np.array_equal(block[k], y)
+
+    def test_block_solve_singular_shift(self):
+        m = SymTridiagonal([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0])
+        assert _shifted_solve(m, np.array([1.5, 2.0]), np.ones((2, 4))) is None
+
+    @pytest.mark.parametrize("origin", ["lapack", "refined"])
+    def test_guess_is_never_written_to(self, origin):
+        # a LAPACK basis is Fortran-ordered, so its transpose is C-contiguous
+        # and could be handed to dgtsv as a buffer to overwrite
+        g = Grid(-12.0, 12.0, 512)
+        guess = eigendecompose(harmonic_matrix(1.0, g), g, 24)
+        if origin == "refined":
+            guess = eigendecompose(harmonic_matrix(1.001, g), g, 24, guess=guess)
+        assert guess.origin == origin
+        vectors, energies = guess.vectors.copy(), guess.energies.copy()
+        warm = eigendecompose(harmonic_matrix(1.002, g), g, 24, guess=guess)
+        assert warm.origin == "refined"
+        assert np.array_equal(guess.vectors, vectors)
+        assert np.array_equal(guess.energies, energies)
 
 
 class TestResidual:

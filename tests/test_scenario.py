@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,12 +269,16 @@ class TestValidate:
         assert violations == ([] if resolved is None else [coarse_violation(40, resolved)])
 
     def test_hamiltonian_beyond_double_range(self, tmp_path, capsys):
-        doc = with_change(quench_doc(points=256, truncation=8), ("potential",),
-                          {"kind": "harmonic", "k": 1e308})
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "invalid scenario: potential: matrix entries must be finite"]
+        # with the full basis no resolution rule runs; the finiteness check still does
+        for points, truncation in ((256, 8), (64, None)):
+            doc = with_change(quench_doc(points=points, truncation=truncation),
+                              ("potential",), {"kind": "harmonic", "k": 1e308})
+            with warnings.catch_warnings():
+                # the overflow is reported once, as a violation, not as a warning
+                warnings.simplefilter("error")
+                assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "invalid scenario: potential: matrix entries must be finite"]
 
     def test_tabulated_resolution_counted_at_every_sample(self, tmp_path):
         doc = tabulated_doc(t_samples=(0.0, 1.0, 2.0))
@@ -426,7 +431,8 @@ class TestRun:
                 b = json.loads(second)
                 for doc in (a, b):
                     doc.pop("wall_time_s")
-                    assert set(doc.pop("timings")) == {"evolve_s", "output_s"}
+                    assert set(doc.pop("timings")) == {"evolve_s", "eigensolve_s",
+                                                       "output_s"}
                 assert a == b
             else:
                 assert first == second
@@ -460,10 +466,13 @@ class TestRun:
         doc = smooth_ramp_doc()
         cfg = parse_scenario(write_scenario(tmp_path, doc))
         run_scenario(cfg, str(tmp_path / "out"))
-        counts = json.loads((tmp_path / "out" / "summary.json").read_text())["eigensolves"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        counts = summary["eigensolves"]
         assert sorted(counts) == ["fallbacks", "lapack", "refined", "reused"]
         assert counts["reused"] + counts["refined"] + counts["lapack"] == 8
         assert counts["refined"] > 0 and counts["fallbacks"] <= counts["lapack"]
+        timings = summary["timings"]
+        assert 0.0 < timings["eigensolve_s"] <= timings["evolve_s"]
 
     def test_initial_state_solved_once_with_reference(self, tmp_path, monkeypatch):
         solves = []
@@ -546,6 +555,35 @@ class TestConverge:
         assert doc["reference_slices"] == finest_slices // 4 == cfg.slices
         assert doc["reference_error_estimate"] == pytest.approx(
             distance(ref, final(cfg.slices // 2, "cfm4")), rel=1e-12)
+
+    def test_smooth_ramp_eigensolve_counts(self, tmp_path, monkeypatch):
+        # every evolve of `converge smooth_ramp --doublings 4`: the warm start
+        # is rejected twice on the 8-slice rung and nowhere else
+        counts = []
+
+        def counted(*args, **kwargs):
+            result = evolve(*args, **kwargs)
+            counts.append((args[2].slices, kwargs.get("scheme", "average"),
+                           result.eigensolves))
+            return result
+
+        monkeypatch.setattr(scenario_mod, "evolve", counted)
+        cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
+        converge_scenario(cfg, 4, str(tmp_path / "out"))
+
+        def solves(refined, lapack, reused=0, fallbacks=0):
+            return {"refined": refined, "lapack": lapack, "reused": reused,
+                    "fallbacks": fallbacks}
+
+        assert counts == [
+            (32, "cfm4", solves(62, 1, reused=1)),
+            (16, "cfm4", solves(30, 1, reused=1)),
+            (8, "average", solves(5, 3, fallbacks=2)),
+            (16, "average", solves(15, 1)),
+            (32, "average", solves(31, 1)),
+            (64, "average", solves(63, 1)),
+            (128, "average", solves(127, 1)),
+        ]
 
     def test_one_slice_reference_has_no_error_estimate(self, tmp_path):
         doc = quench_doc(slices=1, points=256, truncation=24)
