@@ -137,24 +137,49 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     return AmplitudeTrajectory(times=times, amplitudes=history)
 
 
+# sinc(x) = sin(x)/x = sum_k c_k x^2k, and slope(x) = -sinc'(x) =
+# (sin x - x cos x)/x^2, which cancels for small x, is x * sum_k d_k x^2k.
+# Eight terms reach rounding for |x| below _SERIES_BELOW.
+_SERIES_BELOW = 0.5
+_SINC = np.array([(-1) ** k / math.factorial(2 * k + 1) for k in range(8)])
+_SINC_SLOPE = -2 * np.arange(1, 8) * _SINC[1:]
+
+
 def first_order_amplitude(v_mn: Callable[[float], complex], n: int, m: int,
                           omegas: np.ndarray, big_t: float,
-                          quadrature_steps: int = 2000,
-                          hbar: float = 1.0) -> complex:
+                          breakpoints=(), hbar: float = 1.0) -> complex:
     """First-order transition amplitude from state n to state m over [0, T]:
 
         b_m = -(i/hbar) exp(-i w_m T) int_0^T V_mn(t) exp(-i (w_n - w_m) t) dt
 
     including the leading exp(-i w_m T) phase, so b_m is directly the
     coefficient of state m in the final wavefunction (not the interaction
-    picture).  The integral is evaluated by the trapezoidal rule.
+    picture).
+
+    `breakpoints` are the times at which V_mn may jump or change slope; it
+    must be linear between them, as every supported potential is between
+    `PotentialSpec.breakpoints()`.  On each piece of [0, T] the line through
+    V_mn at the two Gauss points (never at a cut, where a jump takes one
+    side's value) is integrated against the phase in closed form: exact.
     """
     if m == n:
         raise ValueError("diagonal amplitude undefined at first order")
-    ts = np.linspace(0.0, big_t, quadrature_steps + 1)
-    vals = np.array([v_mn(t) for t in ts], dtype=complex)
-    integrand = vals * np.exp(-1j * (omegas[n] - omegas[m]) * ts)
-    integral = np.trapezoid(integrand, ts)
+    knots = np.asarray(breakpoints, dtype=float)
+    cuts = np.concatenate(([0.0], np.unique(knots[(knots > 0) & (knots < big_t)]), [big_t]))
+    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+    lo = np.array([v_mn(t) for t in mid - half / math.sqrt(3.0)], dtype=complex)
+    hi = np.array([v_mn(t) for t in mid + half / math.sqrt(3.0)], dtype=complex)
+    # about each mid V = p + q s with q h = (hi - lo) sqrt(3)/2, and
+    # int_{-h}^{h} (p + q s) e^{-iws} ds = 2h (p sinc(x) - i q h slope(x)), x = w h
+    w = omegas[n] - omegas[m]
+    x = w * half
+    small = np.abs(x) < _SERIES_BELOW
+    xs = np.where(small, 1.0, x)
+    sinc = np.where(small, np.polynomial.polynomial.polyval(x * x, _SINC), np.sin(xs) / xs)
+    slope = np.where(small, x * np.polynomial.polynomial.polyval(x * x, _SINC_SLOPE),
+                     (np.sin(xs) - xs * np.cos(xs)) / (xs * xs))
+    integral = np.sum(2 * half * np.exp(-1j * w * mid)
+                      * (0.5 * (hi + lo) * sinc - 0.5j * math.sqrt(3.0) * (hi - lo) * slope))
     return complex(-1j / hbar * np.exp(-1j * omegas[m] * big_t) * integral)
 
 

@@ -2,9 +2,8 @@
 sudden-quench overlap coefficients, truncated energy sums and the pulse
 revival phase.
 
-Everything here is evaluated with adaptive Gauss-Legendre quadrature on its
-own fine mesh, independent of the grid engine, so it can serve as an oracle
-for the projection method.
+Everything here is a closed form or a stable recurrence, independent of the
+grid engine, so it can serve as an oracle for the projection method.
 """
 
 from __future__ import annotations
@@ -92,51 +91,24 @@ def hermite_eigenfunction(params: OscillatorParams, n: int, x):
     return phi if phi.ndim else float(phi)
 
 
-def _adaptive_gauss_legendre(f, a: float, b: float,
-                             tol: float = 1e-10, order: int = 64) -> float:
-    """Composite Gauss-Legendre with panel doubling until the estimate is
-    stable to `tol`."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    prev = None
-    panels = 1
-    while panels <= 1024:
-        edges = np.linspace(a, b, panels + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            total += half * np.sum(weights * f(mid + half * nodes))
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        panels *= 2
-    return prev
-
-
 def sudden_quench_coefficients(eta: float, n_max: int,
                                params: OscillatorParams | None = None) -> QuenchCoefficients:
-    """Overlap of the pre-quench ground state with post-quench eigenstates,
-    by quadrature.  C_0 is cross-checked against the closed-form Gaussian
-    overlap sqrt(2 a a' / (a^2 + a'^2))."""
+    """Overlap C_n = <n'|0> of the pre-quench ground state with the
+    post-quench eigenstates, n = 0..n_max, from the squeezed-vacuum
+    recurrence (Gerry & Knight, Introductory Quantum Optics, ch. 7):
+    C_0 = sqrt(2 a a' / (a^2 + a'^2)) and C_{n+2} = r sqrt((n+1)/(n+2)) C_n
+    with r = (a'^2 - a^2) / (a^2 + a'^2); odd entries are zero."""
     if not eta > 0:
         raise ValueError("eta must be positive")
     if n_max > MAX_ORDER:
         raise ValueError("order too large")
-    if params is None:
-        params = OscillatorParams()
-    quenched = params.quenched(eta)
-    a, ap = params.alpha, quenched.alpha
-    half_width = 10.0 / min(a, ap)
-
+    params = params if params is not None else OscillatorParams()
+    a, ap = params.alpha, params.quenched(eta).alpha
+    r = (ap**2 - a**2) / (a**2 + ap**2)
     coeffs = np.zeros(n_max + 1)
-    for n in range(0, n_max + 1, 2):
-        coeffs[n] = _adaptive_gauss_legendre(
-            lambda x, n=n: hermite_eigenfunction(params, 0, x)
-            * hermite_eigenfunction(quenched, n, x),
-            -half_width, half_width)
-
-    c0_closed = math.sqrt(2 * a * ap / (a**2 + ap**2))
-    if abs(coeffs[0] - c0_closed) > 1e-8:
-        raise RuntimeError("quadrature C_0 disagrees with the closed form")
+    coeffs[0] = math.sqrt(2 * a * ap / (a**2 + ap**2))
+    for n in range(0, n_max - 1, 2):
+        coeffs[n + 2] = r * math.sqrt((n + 1) / (n + 2)) * coeffs[n]
     return QuenchCoefficients(eta=eta, coefficients=coeffs)
 
 

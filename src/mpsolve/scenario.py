@@ -722,7 +722,7 @@ def compare_dirac_scenario(config: ScenarioConfig,
             # first_order_amplitude integrates over [0, T]; V lives in absolute time
             b_fo = dirac_mod.first_order_amplitude(
                 lambda t, m=m: v_of_t(t0 + t)[m, n_init], n_init, m, omegas,
-                t_end - t0, quadrature_steps=max(rk4_steps, 1000), hbar=h.hbar,
+                t_end - t0, h.potential.breakpoints() - t0, hbar=h.hbar,
             ) if m != n_init else complex("nan")
             a_mp = abs(mp_coeffs[m])
             a_rk = abs(rk4_final[m])

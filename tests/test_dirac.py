@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec, ScaleProfile
 from mpsolve.dirac import (
+    _SERIES_BELOW,
     divergence_diagnostic,
     first_order_amplitude,
     integrate_amplitudes,
@@ -237,12 +239,50 @@ class TestFirstOrderAmplitude:
     def test_constant_coupling_closed_form(self):
         omegas = np.array([0.5, 2.5])
         eps, big_t = 1e-3, 3.0
-        b = first_order_amplitude(lambda t: eps, 0, 1, omegas, big_t,
-                                  quadrature_steps=20_000)
+        b = first_order_amplitude(lambda t: eps, 0, 1, omegas, big_t)
         d_omega = omegas[0] - omegas[1]
         expect = (-1j * eps * np.exp(-1j * omegas[1] * big_t)
                   * (np.exp(-1j * d_omega * big_t) - 1.0) / (-1j * d_omega))
-        assert abs(b - expect) < 1e-10
+        assert abs(b - expect) < 1e-15
+
+    @pytest.mark.parametrize("h, t0, big_t", [
+        (scaled(ScaleProfile.step(0.25, 0.0)), 0.0, 5.0),
+        (scaled(ScaleProfile.step(4.0, 1.3)), 0.0, 5.0),
+        (scaled(ScaleProfile.pulse(4.0, 0.5, 1.5)), -1.0, 4.0),
+        (scaled(ScaleProfile.sampled([0.0, 0.7, 1.1, 2.0, 3.0], [1.0, 1.8, 0.6, 1.2, 0.9])),
+         0.4, 2.6),
+        (tabulated(np.linspace(0.0, 3.0, 7)), 0.25, 2.75),
+    ], ids=["step_on_window_start", "step", "pulse", "sampled", "tabulated"])
+    def test_matches_quad(self, h, t0, big_t):
+        _, basis = oscillator_basis(12)
+        op = perturbation_operator(h, basis, t0)
+        omegas = basis.frequencies(1.0)
+        knots = h.potential.breakpoints() - t0
+        inside = [t for t in knots if 0 < t < big_t] or None
+        for n, m in ((0, 2), (2, 6), (0, 1)):
+            def integrand(t, part):
+                return part(op(t0 + t)[m, n] * np.exp(-1j * (omegas[n] - omegas[m]) * t))
+            re, im = (quad(integrand, 0.0, big_t, args=(part,), points=inside, limit=200,
+                           epsabs=1e-13, epsrel=1e-13)[0] for part in (np.real, np.imag))
+            want = -1j * np.exp(-1j * omegas[m] * big_t) * (re + 1j * im)
+            got = first_order_amplitude(lambda t: op(t0 + t)[m, n], n, m, omegas, big_t, knots)
+            assert abs(got - want) <= 1e-10, (n, m)
+
+    @pytest.mark.parametrize("x", [1e-6, _SERIES_BELOW * (1 - 1e-9), _SERIES_BELOW * (1 + 1e-9)])
+    def test_near_degenerate_levels(self, x):
+        # one piece of half-width 1, so x = (w_n - w_m) * 1 picks the series
+        # or the closed form; a slope makes sin x - x cos x count
+        big_t = 2.0
+        omegas = np.array([1.5 + x, 1.5])
+
+        def v(t):
+            return 1e-3 * (0.3 + 1.7 * t)
+
+        re, im = (quad(lambda t: part(v(t) * np.exp(-1j * x * t)), 0.0, big_t,
+                       epsabs=1e-16, epsrel=1e-14)[0] for part in (np.real, np.imag))
+        want = -1j * np.exp(-1j * omegas[1] * big_t) * (re + 1j * im)
+        b = first_order_amplitude(v, 0, 1, omegas, big_t)
+        assert abs(b - want) <= 1e-12 * abs(want)
 
     def test_resonant_coupling_grows_linearly(self):
         # Degenerate levels: the secular term -(i/hbar) eps T e^{-i w T}.

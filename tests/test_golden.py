@@ -78,16 +78,16 @@ GOLDEN_RUN = {
 #       abs_b_first_order, diff_mp_rk4, diff_mp_fo, diff_rk4_fo)
 GOLDEN_DIRAC = {
     "quench_eta025": [
-        (2, 0.294008378256099, 5.166970081256043e+42, 0.26268248725632243,
-         5.166970081256043e+42, 0.03132589099977656, 5.166970081256043e+42),
-        (4, 0.11179286073633606, 3.102273781418162e+43, 4.205500875236942e-06,
-         3.102273781418162e+43, 0.11178865523546082, 3.102273781418162e+43),
-        (6, 0.04485260734808276, 1.1183640366948367e+44, 1.3722965773085315e-09,
-         1.1183640366948367e+44, 0.044852605975786185, 1.1183640366948367e+44),
+        (2, 0.294008378256099, 5.166970081256043e+42, 0.26213036203219264,
+         5.166970081256043e+42, 0.03187801622390618, 5.166970081256043e+42),
+        (4, 0.11179286073633606, 3.102273781418162e+43, 4.661727824285671e-06,
+         3.102273781418162e+43, 0.11178819900851145, 3.102273781418162e+43),
+        (6, 0.04485260734808276, 1.1183640366948367e+44, 1.3458713600958687e-09,
+         1.1183640366948367e+44, 0.04485260600221122, 1.1183640366948367e+44),
     ],
     "dirac_weak": [
-        (2, 0.000297431712017702, 0.00029727256850708007, 0.0002972937354191705,
-         1.5914351062190722e-07, 1.379765985314702e-07, 2.116691209043701e-08),
+        (2, 0.000297431712017702, 0.00029727256850708007, 0.00029748495533426464,
+         1.5914351062190722e-07, 5.324331832324766e-08, 2.1238682718760895e-07),
     ],
 }
 

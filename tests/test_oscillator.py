@@ -90,6 +90,20 @@ class TestQuenchCoefficients:
             c_inv = sudden_quench_coefficients(1.0 / eta, 8).coefficients
             assert np.abs(np.abs(c) - np.abs(c_inv)).max() < 1e-10
 
+    @pytest.mark.parametrize("params", [OscillatorParams(),
+                                        OscillatorParams(mass=2.0, hbar=0.5, k=8.0)])
+    @pytest.mark.parametrize("eta", [0.25, 0.81, 1.21, 4.0])
+    def test_recurrence_matches_direct_overlap(self, eta, params):
+        quenched = params.quenched(eta)
+        half_width = 12.0 / min(params.alpha, quenched.alpha)
+        nodes, weights = np.polynomial.legendre.leggauss(200)
+        x, w = half_width * nodes, half_width * weights
+        ground = hermite_eigenfunction(params, 0, x)
+        direct = [np.sum(w * ground * hermite_eigenfunction(quenched, n, x))
+                  for n in range(61)]
+        c = sudden_quench_coefficients(eta, 60, params).coefficients
+        assert np.abs(c - direct).max() <= 1e-12
+
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
             sudden_quench_coefficients(-0.5, 4)
