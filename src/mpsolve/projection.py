@@ -1,12 +1,17 @@
 """Piecewise-constant time evolution by projection between intermediate
 eigenbases.
 
-Each time slice is applied as one or more frozen-Hamiltonian factors: the
-state is projected onto the factor's eigenbasis, every component picks up
-the phase exp(-i E_k dt / hbar), and the state is rebuilt on the grid.  With
-the full basis this is an exact application of exp(-i H dt / hbar) for the
-discretized system; truncation silently drops population (reported through
-the per-slice norm, never renormalized).
+Each time slice is applied as one or more frozen-Hamiltonian factors.  In
+a factor's eigenbasis exp(-i H dt / hbar) only multiplies every component
+by the phase exp(-i E_k dt / hbar), so the state is carried as its
+coefficients in the current basis: a factor that reuses the basis applies
+the phases and nothing else, and only a change of basis rebuilds the state
+on the grid and projects it onto the new basis.  With the full basis this
+is an exact application of exp(-i H dt / hbar) for the discretized system;
+truncation silently drops population at each change of basis (reported
+through the per-slice norm, never renormalized).  The norm and the energy
+of each slice come from the coefficients: sum |C_k|^2 and
+sum E_k |C_k|^2 / sum |C_k|^2.
 
 Two schemes choose the factors.  "average" (the paper's step) freezes H to
 its exact time average over the slice: the exponential midpoint rule,
@@ -197,18 +202,18 @@ def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:
 
 def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
                    averaging: str, scheme: str) -> list[tuple[SymTridiagonal, float]]:
-    """The (matrix, dt) factors that carry a state across [t_a, t_b], in the
-    order they are applied."""
-    dt = t_b - t_a
+    """The (matrix, share of the slice width) factors that carry a state
+    across [t_a, t_b], in the order they are applied."""
     if scheme == "average":
-        return [(stepwise_hamiltonian(h, grid, t_a, t_b, averaging), dt)]
+        return [(stepwise_hamiltonian(h, grid, t_a, t_b, averaging), 1.0)]
+    dt = t_b - t_a
     t_mid = 0.5 * (t_a + t_b)
     v1 = h.potential_on_grid(grid, t_mid - _GAUSS_OFFSET * dt)
     v2 = h.potential_on_grid(grid, t_mid + _GAUSS_OFFSET * dt)
     # v1 == v2 gives both factors exactly v1, the slice average of a
     # piecewise-constant profile, so those slices reuse one basis
-    return [(tridiagonal_hamiltonian(h, grid, v1 + 2.0 * _CFM4_B * (v2 - v1)), 0.5 * dt),
-            (tridiagonal_hamiltonian(h, grid, v2 + 2.0 * _CFM4_B * (v1 - v2)), 0.5 * dt)]
+    return [(tridiagonal_hamiltonian(h, grid, v1 + 2.0 * _CFM4_B * (v2 - v1)), 0.5),
+            (tridiagonal_hamiltonian(h, grid, v2 + 2.0 * _CFM4_B * (v1 - v2)), 0.5)]
 
 
 def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
@@ -221,14 +226,22 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     averaged over the slice by `schedule.averaging`; "cfm4" applies it as
     two half-width factors built from the slice's Gauss points and ignores
     `schedule.averaging`.  A factor whose matrix equals the previous
-    factor's reuses its eigenpairs, which are bit-identical to a fresh
-    solve; any other factor is solved anew, warm-started from the previous
-    factor's eigenpairs, so at most two bases are held.  Returns per-slice
-    reports with coefficients (phases applied), norm and the
-    intermediate-energy expectation at the end of the slice; a cfm4
-    slice reports the coefficients in its last factor's basis and the
-    energy under its last factor's matrix, and counts as refreshed if
-    either factor was solved anew.
+    factor's reuses its eigenpairs and only multiplies the coefficients by
+    its phases; any other factor is solved anew, warm-started from the
+    previous factor's eigenpairs, and the state is rebuilt on the grid in
+    the old basis and projected onto the new one, so at most two bases are
+    held.  `project` runs once per change of basis (plus once for
+    `final_basis`) and `reconstruct` once per change of basis after the
+    first and once for the final state.  A potential without breakpoints
+    does not depend on t, so its factors are built once for the whole run.
+
+    Returns per-slice reports with the coefficients (phases applied), the
+    norm sum |C_k|^2 and the energy sum E_k |C_k|^2 / sum |C_k|^2 at the
+    end of the slice.  For the rebuilt state psi = V C these equal <psi|psi>
+    and <psi|H|psi> / <psi|psi> to within the eigensolver's residual and
+    orthonormality guards.  A cfm4 slice reports the coefficients in its
+    last factor's basis and the energy under its last factor's matrix, and
+    counts as refreshed if either factor was solved anew.
     """
     if scheme not in SCHEMES:
         raise ValueError("unknown scheme %r" % scheme)
@@ -237,17 +250,25 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     if not np.all(np.isfinite(state.amplitudes)):
         raise ValueError("non-finite state")
 
-    diagonal = basis = None
+    diagonal = basis = coeffs = None
     counts = dict.fromkeys(("reused", "refined", "lapack", "fallbacks"), 0)
     eigensolve_s = 0.0
     reports = []
     bounds = schedule.boundaries
+    # V without breakpoints does not depend on t (every kind that does has
+    # some), so every slice has the first slice's factors
+    static = (_slice_factors(h, grid, bounds[0], bounds[1], schedule.averaging, scheme)
+              if h.potential.breakpoints().size == 0 else None)
     for j in range(schedule.slices):
         refreshed = False
-        for matrix, dt in _slice_factors(h, grid, bounds[j], bounds[j + 1],
-                                         schedule.averaging, scheme):
+        width = bounds[j + 1] - bounds[j]
+        for matrix, share in static or _slice_factors(h, grid, bounds[j], bounds[j + 1],
+                                                      schedule.averaging, scheme):
+            dt = share * width
             # only the diagonal depends on the time
             if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
+                if basis is not None:
+                    state = _rebuild(coeffs, basis, j)
                 tick = time.perf_counter()
                 try:
                     basis = eigendecompose(matrix, grid, truncation, guess=basis)
@@ -258,24 +279,37 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
                 refreshed = True
                 counts["refined" if basis.origin == "refined" else "lapack"] += 1
                 counts["fallbacks"] += basis.origin == "fallback"
+                coeffs = project(state, basis)
             else:
                 counts["reused"] += 1
-
-            coeffs = project(state, basis) * np.exp(-1j * basis.energies * dt / h.hbar)
-            state = reconstruct(coeffs, basis)
-            if not np.all(np.isfinite(state.amplitudes)):
+            coeffs = coeffs * np.exp(-1j * basis.energies * dt / h.hbar)
+            if not np.all(np.isfinite(coeffs)):
                 raise RuntimeError("non-finite state at slice %d" % j)
 
+        weights = coeffs.real ** 2 + coeffs.imag ** 2
+        nsq = float(weights.sum())
+        if nsq == 0.0:
+            raise ValueError("zero-norm state has no energy expectation")
         reports.append(ProjectionStepReport(
             slice_index=j,
             t_end=float(bounds[j + 1]),
             coefficients=coeffs,
-            norm_squared=norm_squared(state),
-            energy=intermediate_energy(state, matrix),
+            norm_squared=nsq,
+            energy=float(basis.energies @ weights) / nsq,
             basis_refreshed=refreshed,
         ))
 
+    state = _rebuild(coeffs, basis, schedule.slices - 1)
     final_coeffs = project(state, final_basis) if final_basis is not None else None
     return EvolutionResult(final_state=state, reports=tuple(reports),
                            final_basis=final_basis, final_coefficients=final_coeffs,
                            eigensolves=counts, eigensolve_s=eigensolve_s)
+
+
+def _rebuild(coeffs: np.ndarray, basis: EigenBasis, j: int) -> WaveFunction:
+    """The state V C on the grid, checked to be finite; j is the slice a
+    failure is reported at."""
+    state = reconstruct(coeffs, basis)
+    if not np.all(np.isfinite(state.amplitudes)):
+        raise RuntimeError("non-finite state at slice %d" % j)
+    return state

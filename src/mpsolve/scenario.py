@@ -212,10 +212,11 @@ def _section(raw: dict, key: str, errors: list[str]) -> dict:
     return {}
 
 
-def _read_amplitudes(path: str, points: int | None,
+def _read_amplitudes(path: str, points: int | None, grid: Grid | None,
                      errors: list[str]) -> np.ndarray | None:
     """Initial amplitudes from a CSV with `re` and `im` columns, one row per
-    grid node; None with a violation recorded if the file is unusable."""
+    grid node; None with a violation recorded if the file is unusable or,
+    on a valid grid, the state's norm is 0 or overflows."""
     where = "initial_state.amplitude_file"
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -237,6 +238,9 @@ def _read_amplitudes(path: str, points: int | None,
         return None
     if points is not None and amps.size != points:
         errors.append("%s: %d rows, but grid.points is %d" % (where, amps.size, points))
+        return None
+    if grid is not None and not 0.0 < norm_squared(WaveFunction(grid, amps)) < math.inf:
+        errors.append("%s: the norm dx * sum |psi|^2 must be > 0 and finite" % where)
         return None
     return amps
 
@@ -328,7 +332,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
             errors.append("initial_state.amplitude_file: file not found")
         else:
             amplitudes = _read_amplitudes(
-                os.path.join(os.path.dirname(path), amplitude_file), points, errors)
+                os.path.join(os.path.dirname(path), amplitude_file), points, grid, errors)
     else:
         eigenstate = _num(init, "eigenstate", "initial_state", errors,
                           default=0, integer=True)

@@ -25,7 +25,8 @@ from mpsolve import (
     reconstruct,
     stepwise_hamiltonian,
 )
-from mpsolve.projection import SliceSchedule
+from mpsolve import projection
+from mpsolve.projection import SCHEMES, SliceSchedule, _slice_factors
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -109,6 +110,55 @@ def kernel_cases(draw):
         return (z.real if layout == "real" else z)[:size].copy()
 
     return EigenBasis(np.arange(m, dtype=float), q, g), vector(n), vector(m)
+
+
+def round_trip_evolve(psi0, h, schedule, truncation, scheme):
+    """Reference for `evolve`: every factor goes through the grid (project,
+    phase, reconstruct) and every slice reports `intermediate_energy` and
+    `norm_squared` of the rebuilt state.  Returns (final state, energies,
+    norms)."""
+    grid, bounds = psi0.grid, schedule.boundaries
+    state, diagonal, basis = psi0, None, None
+    energies, norms = [], []
+    for j in range(schedule.slices):
+        for matrix, share in _slice_factors(h, grid, bounds[j], bounds[j + 1],
+                                            schedule.averaging, scheme):
+            dt = share * (bounds[j + 1] - bounds[j])
+            if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
+                basis = eigendecompose(matrix, grid, truncation, guess=basis)
+                diagonal = matrix.diagonal
+            coeffs = project(state, basis) * np.exp(-1j * basis.energies * dt / h.hbar)
+            state = reconstruct(coeffs, basis)
+        energies.append(intermediate_energy(state, matrix))
+        norms.append(norm_squared(state))
+    return state, np.array(energies), np.array(norms)
+
+
+@st.composite
+def evolve_cases(draw):
+    """(psi0, h, schedule, truncation, scheme): a normalized moving Gaussian
+    on at most 128 nodes under a constant, step, pulse or sampled scale
+    profile, with a truncated or the full basis."""
+    g = Grid(-8.0, 8.0, draw(st.integers(16, 128)))
+    kind = draw(st.sampled_from(("constant", "step", "pulse", "sampled")))
+    scale = st.floats(0.25, 4.0)
+    if kind == "constant":
+        prof = ScaleProfile.constant(draw(scale))
+    elif kind == "step":
+        prof = ScaleProfile.step(draw(scale), draw(st.floats(0.0, 1.0)))
+    elif kind == "pulse":
+        t_on = draw(st.floats(0.0, 0.5))
+        prof = ScaleProfile.pulse(draw(scale), t_on, t_on + draw(st.floats(0.1, 1.0)))
+    else:
+        values = draw(st.lists(scale, min_size=2, max_size=9))
+        prof = ScaleProfile.sampled(np.linspace(0.0, 2.0, len(values)), values)
+    h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
+    x0, p = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    amps = np.exp(-(g.x - x0) ** 2 / 2 + 1j * p * g.x)
+    psi0 = WaveFunction(g, amps / math.sqrt(norm_squared(WaveFunction(g, amps))))
+    truncation = draw(st.none() | st.integers(1, min(g.points, 24)))
+    schedule = build_schedule(0.0, 2.0, draw(st.integers(1, 16)), prof)
+    return psi0, h, schedule, truncation, draw(st.sampled_from(SCHEMES))
 
 
 class TestBuildSchedule:
@@ -342,17 +392,70 @@ class TestEvolve:
     def test_basis_reuse_matches_fresh_solves(self, ground):
         h = quench_hamiltonian(0.81)
         schedule = build_schedule(0.0, 2.0, 8, h.potential.profile)
+        bounds = schedule.boundaries
         whole = evolve(ground, h, schedule, truncation=32)
         assert [r.basis_refreshed for r in whole.reports] == [True] + [False] * 7
+        # a reused slice multiplies the coefficients by its phases, nothing else
+        basis = eigendecompose(stepwise_hamiltonian(h, GRID, bounds[0], bounds[1]),
+                               GRID, 32)
+        for j in range(1, schedule.slices):
+            dt = bounds[j + 1] - bounds[j]
+            assert np.array_equal(
+                whole.reports[j].coefficients,
+                whole.reports[j - 1].coefficients
+                * np.exp(-1j * basis.energies * dt / h.hbar))
+        assert np.array_equal(whole.final_state.amplitudes,
+                              reconstruct(whole.reports[-1].coefficients, basis).amplitudes)
+        # one-slice restarts go through the grid on every slice and agree
+        # with the whole run to rounding
         psi = ground
         for j in range(schedule.slices):
-            one = evolve(psi, h, SliceSchedule(schedule.boundaries[j:j + 2]),
-                         truncation=32)
+            one = evolve(psi, h, SliceSchedule(bounds[j:j + 2]), truncation=32)
             assert one.reports[0].basis_refreshed
-            assert np.array_equal(one.reports[0].coefficients,
-                                  whole.reports[j].coefficients)
+            assert np.abs(one.reports[0].coefficients
+                          - whole.reports[j].coefficients).max() <= 1e-14
             psi = one.final_state
-        assert np.array_equal(psi.amplitudes, whole.final_state.amplitudes)
+        assert np.abs(psi.amplitudes - whole.final_state.amplitudes).max() <= 1e-14
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(evolve_cases())
+    def test_matches_grid_round_trip_on_every_factor(self, case):
+        psi0, h, schedule, truncation, scheme = case
+        res = evolve(psi0, h, schedule, truncation, scheme=scheme)
+        state, energies, norms = round_trip_evolve(psi0, h, schedule, truncation, scheme)
+        np.testing.assert_allclose([r.energy for r in res.reports], energies,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose([r.norm_squared for r in res.reports], norms,
+                                   rtol=0.0, atol=1e-13)
+        assert np.abs(res.final_state.amplitudes - state.amplitudes).max() <= 1e-13
+
+    def test_reused_basis_never_goes_through_the_grid(self, monkeypatch):
+        calls = dict.fromkeys(("project", "reconstruct", "_slice_factors"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(projection, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(projection, name, counted)
+        g = Grid(-8.0, 8.0, 64)
+        psi0 = eigendecompose(discretize(HARMONIC, g, 0.0), g, 1).state(0)
+        res = evolve(psi0, HARMONIC, build_schedule(0.0, 10.0, 1000), truncation=16)
+        assert res.eigensolves["reused"] == 999
+        assert calls == {"project": 1, "reconstruct": 1, "_slice_factors": 1}
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_time_independent_potential_builds_its_factors_once(self, ground, scheme):
+        # a flat sampled profile has breakpoints, so its factors are built
+        # on every slice; they are the harmonic potential's, bit for bit
+        flat = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(
+            1.0, ScaleProfile.sampled([0.0, 1.0], [1.0, 1.0])))
+        schedule = build_schedule(0.0, 1.0, 7)
+        once = evolve(ground, HARMONIC, schedule, truncation=16, scheme=scheme)
+        every = evolve(ground, flat, schedule, truncation=16, scheme=scheme)
+        assert once.eigensolves == every.eigensolves
+        for a, b in zip(once.reports, every.reports):
+            assert np.array_equal(a.coefficients, b.coefficients)
+            assert (a.energy, a.norm_squared) == (b.energy, b.norm_squared)
+        assert np.array_equal(once.final_state.amplitudes, every.final_state.amplitudes)
 
     def test_warm_started_ramp_matches_cold_solves(self):
         g = Grid(-12.0, 12.0, 512)

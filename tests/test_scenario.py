@@ -198,8 +198,12 @@ class TestValidate:
         ("re,im\nnan,0.0\n", "every 're' and 'im' value must be finite"),
         ("re,im\n1e400,0.0\n", "every 're' and 'im' value must be finite"),
         ("re,im\n1.0,0.0\n", "1 rows, but grid.points is 64"),
+        ("re,im\n" + "0.0,0.0\n" * 64, "the norm dx * sum |psi|^2 must be > 0 and finite"),
+        ("re,im\n" + "".join("%r,0.0\n" % (1e155 * math.exp(-x**2 / 2))
+                              for x in np.linspace(-12.0, 12.0, 64)),
+         "the norm dx * sum |psi|^2 must be > 0 and finite"),
     ], ids=["no_im", "wrong_names", "non_numeric", "short_row", "nan", "overflow",
-            "wrong_length"])
+            "wrong_length", "zero_norm", "norm_overflow"])
     def test_bad_amplitude_file(self, tmp_path, capsys, text, violation):
         (tmp_path / "amps.csv").write_text(text)
         doc = with_change(quench_doc(points=64), ("initial_state",),
