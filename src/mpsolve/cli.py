@@ -72,9 +72,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.doublings < 2:
                 print("converge requires --doublings >= 2", file=sys.stderr)
                 return 1
-            if config.profile.is_piecewise_constant():
-                print("warning: convergence trivially flat for "
-                      "piecewise-constant profiles", file=sys.stderr)
+            pot = config.hamiltonian.potential
+            # every slice's H is exact only where V is constant between breakpoints
+            if pot.kind != "tabulated" and pot.profile.kind != "sampled":
+                print("warning: convergence trivially flat for a potential "
+                      "that is piecewise constant in time", file=sys.stderr)
             rungs = converge_scenario(config, args.doublings, args.out)
             for n_slices, err in rungs:
                 print("slices %6d  l2 error %.3e" % (n_slices, err))

@@ -165,9 +165,6 @@ class ScaleProfile:
             return [self.t_on, self.t_off]
         return []
 
-    def is_piecewise_constant(self) -> bool:
-        return self.kind in ("constant", "step", "pulse")
-
 
 @dataclass(frozen=True)
 class PotentialSpec:

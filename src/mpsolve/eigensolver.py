@@ -98,9 +98,6 @@ class EigenBasis:
     def truncation(self) -> int:
         return self.energies.size
 
-    def frequencies(self, hbar: float) -> np.ndarray:
-        return self.energies / hbar
-
     def state(self, k: int) -> WaveFunction:
         return WaveFunction(self.source_grid, self.vectors[:, k].astype(complex))
 

@@ -45,7 +45,6 @@ __all__ = [
     "evolve",
 ]
 
-AVERAGING_MODES = ("integral", "midpoint_endpoint_mean")
 SCHEMES = ("average", "cfm4")
 
 # CFM4: Gauss points at t_mid -+ _GAUSS_OFFSET * dt; each factor weights the
@@ -56,11 +55,9 @@ _CFM4_B = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 
 @dataclass(frozen=True)
 class SliceSchedule:
-    """Partition of [t0, t1] into slices, plus the averaging mode used to
-    freeze the Hamiltonian on each slice."""
+    """Partition of [t0, t1] into slices."""
 
     boundaries: np.ndarray
-    averaging: str = "integral"
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=float)
@@ -68,8 +65,6 @@ class SliceSchedule:
             raise ValueError("schedule needs at least two boundaries")
         if np.any(np.diff(b) <= 0):
             raise ValueError("boundaries must be strictly increasing")
-        if self.averaging not in AVERAGING_MODES:
-            raise ValueError("unknown averaging mode %r" % self.averaging)
         object.__setattr__(self, "boundaries", b)
 
     @property
@@ -106,15 +101,12 @@ class EvolutionResult:
 
     final_state: WaveFunction
     reports: tuple[ProjectionStepReport, ...]
-    final_basis: EigenBasis | None = None
-    final_coefficients: np.ndarray | None = None
     eigensolves: dict[str, int] = field(default_factory=dict)
     eigensolve_s: float = 0.0
 
 
 def build_schedule(t0: float, t1: float, slices: int,
-                   profile: ScaleProfile | None = None,
-                   averaging: str = "integral") -> SliceSchedule:
+                   profile: ScaleProfile | None = None) -> SliceSchedule:
     """Uniform boundaries with every profile discontinuity in (t0, t1)
     inserted as an extra boundary (no duplicates)."""
     if slices < 1:
@@ -126,30 +118,24 @@ def build_schedule(t0: float, t1: float, slices: int,
         for tc in profile.discontinuities():
             if t0 < tc < t1 and not any(abs(tc - b) <= 1e-12 for b in bounds):
                 bounds.append(tc)
-    return SliceSchedule(np.array(sorted(bounds)), averaging)
+    return SliceSchedule(np.array(sorted(bounds)))
 
 
-def stepwise_hamiltonian(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
-                         averaging: str = "integral") -> SymTridiagonal:
+def stepwise_hamiltonian(h: HamiltonianSpec, grid: Grid, t_a: float,
+                         t_b: float) -> SymTridiagonal:
     """Tridiagonal matrix of the Hamiltonian time-averaged over [t_a, t_b].
 
-    midpoint_endpoint_mean: arithmetic mean of the two endpoint potentials.
-    integral: the slice is cut at the potential's breakpoints inside it and
-    each piece contributes its midpoint value weighted by its length.  Every
-    supported potential is linear in t between breakpoints, so this is the
-    exact time average; a slice without breakpoints gets weight exactly 1.
+    The slice is cut at the potential's breakpoints inside it and each piece
+    contributes its midpoint value weighted by its length.  Every supported
+    potential is linear in t between breakpoints, so this is the exact time
+    average; a slice without breakpoints gets weight exactly 1.
     """
     if not t_a < t_b:
         raise ValueError("slice requires t_a < t_b")
-    if averaging not in AVERAGING_MODES:
-        raise ValueError("unknown averaging mode %r" % averaging)
-    if averaging == "midpoint_endpoint_mean":
-        v = 0.5 * (h.potential_on_grid(grid, t_a) + h.potential_on_grid(grid, t_b))
-    else:
-        knots = h.potential.breakpoints()
-        cuts = np.concatenate(([t_a], knots[(knots > t_a) & (knots < t_b)], [t_b]))
-        v = sum((hi - lo) / (t_b - t_a) * h.potential_on_grid(grid, 0.5 * (lo + hi))
-                for lo, hi in zip(cuts[:-1], cuts[1:]))
+    knots = h.potential.breakpoints()
+    cuts = np.concatenate(([t_a], knots[(knots > t_a) & (knots < t_b)], [t_b]))
+    v = sum((hi - lo) / (t_b - t_a) * h.potential_on_grid(grid, 0.5 * (lo + hi))
+            for lo, hi in zip(cuts[:-1], cuts[1:]))
     return tridiagonal_hamiltonian(h, grid, v)
 
 
@@ -201,11 +187,11 @@ def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:
 
 
 def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
-                   averaging: str, scheme: str) -> list[tuple[SymTridiagonal, float]]:
+                   scheme: str) -> list[tuple[SymTridiagonal, float]]:
     """The (matrix, share of the slice width) factors that carry a state
     across [t_a, t_b], in the order they are applied."""
     if scheme == "average":
-        return [(stepwise_hamiltonian(h, grid, t_a, t_b, averaging), 1.0)]
+        return [(stepwise_hamiltonian(h, grid, t_a, t_b), 1.0)]
     dt = t_b - t_a
     t_mid = 0.5 * (t_a + t_b)
     v1 = h.potential_on_grid(grid, t_mid - _GAUSS_OFFSET * dt)
@@ -218,22 +204,20 @@ def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
 
 def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
            truncation: int | None = None,
-           final_basis: EigenBasis | None = None,
            scheme: str = "average") -> EvolutionResult:
     """Run the projection cascade over every slice of the schedule.
 
-    `scheme` "average" applies each slice as one factor, the Hamiltonian
-    averaged over the slice by `schedule.averaging`; "cfm4" applies it as
-    two half-width factors built from the slice's Gauss points and ignores
-    `schedule.averaging`.  A factor whose matrix equals the previous
-    factor's reuses its eigenpairs and only multiplies the coefficients by
-    its phases; any other factor is solved anew, warm-started from the
-    previous factor's eigenpairs, and the state is rebuilt on the grid in
-    the old basis and projected onto the new one, so at most two bases are
-    held.  `project` runs once per change of basis (plus once for
-    `final_basis`) and `reconstruct` once per change of basis after the
-    first and once for the final state.  A potential without breakpoints
-    does not depend on t, so its factors are built once for the whole run.
+    `scheme` "average" applies each slice as one factor, the Hamiltonian's
+    exact time average over the slice; "cfm4" applies it as two half-width
+    factors built from the slice's Gauss points.  A factor whose matrix
+    equals the previous factor's reuses its eigenpairs and only multiplies
+    the coefficients by its phases; any other factor is solved anew,
+    warm-started from the previous factor's eigenpairs, and the state is
+    rebuilt on the grid in the old basis and projected onto the new one, so
+    at most two bases are held.  `project` runs once per change of basis and
+    `reconstruct` once per change of basis after the first and once for the
+    final state.  A potential without breakpoints does not depend on t, so
+    its factors are built once for the whole run.
 
     Returns per-slice reports with the coefficients (phases applied), the
     norm sum |C_k|^2 and the energy sum E_k |C_k|^2 / sum |C_k|^2 at the
@@ -257,13 +241,13 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     bounds = schedule.boundaries
     # V without breakpoints does not depend on t (every kind that does has
     # some), so every slice has the first slice's factors
-    static = (_slice_factors(h, grid, bounds[0], bounds[1], schedule.averaging, scheme)
+    static = (_slice_factors(h, grid, bounds[0], bounds[1], scheme)
               if h.potential.breakpoints().size == 0 else None)
     for j in range(schedule.slices):
         refreshed = False
         width = bounds[j + 1] - bounds[j]
         for matrix, share in static or _slice_factors(h, grid, bounds[j], bounds[j + 1],
-                                                      schedule.averaging, scheme):
+                                                      scheme):
             dt = share * width
             # only the diagonal depends on the time
             if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
@@ -300,9 +284,7 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
         ))
 
     state = _rebuild(coeffs, basis, schedule.slices - 1)
-    final_coeffs = project(state, final_basis) if final_basis is not None else None
     return EvolutionResult(final_state=state, reports=tuple(reports),
-                           final_basis=final_basis, final_coefficients=final_coeffs,
                            eigensolves=counts, eigensolve_s=eigensolve_s)
 
 

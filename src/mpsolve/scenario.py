@@ -28,7 +28,7 @@ from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunct
                    inner_product, norm_squared)
 from .eigensolver import (SymTridiagonal, _count_below, discretize, eigendecompose,
                           tridiagonal_hamiltonian)
-from .projection import AVERAGING_MODES, build_schedule, evolve, project
+from .projection import build_schedule, evolve, project
 
 __all__ = [
     "ScenarioConfig",
@@ -69,11 +69,9 @@ class ScenarioConfig:
     raw: dict
     grid: Grid
     hamiltonian: HamiltonianSpec
-    profile: ScaleProfile
     t0: float
     t1: float
     slices: int
-    averaging: str
     truncation: int | None
     eigenstate: int | None
     amplitudes: np.ndarray | None
@@ -161,9 +159,8 @@ def _parse_profile(section: dict, errors: list[str]) -> ScaleProfile:
     return fallback
 
 
-def _parse_potential(section: Any, errors: list[str]) -> tuple[PotentialSpec, ScaleProfile]:
-    constant = ScaleProfile.constant()
-    fallback = (PotentialSpec.harmonic(1.0), constant)
+def _parse_potential(section: Any, errors: list[str]) -> PotentialSpec:
+    fallback = PotentialSpec.harmonic(1.0)
     if not isinstance(section, dict):
         errors.append("potential: expected an object")
         return fallback
@@ -171,22 +168,19 @@ def _parse_potential(section: Any, errors: list[str]) -> tuple[PotentialSpec, Sc
     if kind == "harmonic":
         _check_keys(section, {"kind", "k"}, "potential", errors)
         k = _num(section, "k", "potential", errors, default=1.0, positive=True)
-        return (PotentialSpec.harmonic(k), constant) if k else fallback
+        return PotentialSpec.harmonic(k) if k else fallback
     if kind == "scaled_harmonic":
         _check_keys(section, {"kind", "k", "scale"}, "potential", errors)
         k = _num(section, "k", "potential", errors, default=1.0, positive=True)
         profile = _parse_profile(section.get("scale", {"kind": "constant"}), errors)
-        if k:
-            return PotentialSpec.scaled_harmonic(k, profile), profile
-        return fallback
+        return PotentialSpec.scaled_harmonic(k, profile) if k else fallback
     if kind == "tabulated":
         _check_keys(section, {"kind", "x_samples", "t_samples", "v_samples"},
                     "potential", errors)
         try:
-            pot = PotentialSpec.tabulated(section.get("x_samples"),
-                                          section.get("t_samples"),
-                                          section.get("v_samples"))
-            return pot, constant
+            return PotentialSpec.tabulated(section.get("x_samples"),
+                                           section.get("t_samples"),
+                                           section.get("v_samples"))
         except (ValueError, TypeError) as exc:
             errors.append("potential: %s" % exc)
             return fallback
@@ -280,7 +274,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
     mass = _num(units_cfg, "mass", "units", errors, positive=True)
 
     known = len(errors)
-    potential, profile = _parse_potential(raw.get("potential"), errors)
+    potential = _parse_potential(raw.get("potential"), errors)
     potential_ok = len(errors) == known
 
     sched = raw.get("schedule")
@@ -295,9 +289,10 @@ def parse_scenario(path: str) -> ScenarioConfig:
         errors.append("schedule.slices: must be >= 1")
     if t0 is not None and t1 is not None and not t0 < t1:
         errors.append("schedule: t0 must be < t1")
-    averaging = sched.get("averaging", "integral")
-    if averaging not in AVERAGING_MODES:
-        errors.append("schedule.averaging: must be one of %s" % "/".join(AVERAGING_MODES))
+    # kept so that existing files stay valid and keep their scenario_hash
+    if sched.get("averaging", "integral") != "integral":
+        errors.append('schedule.averaging: must be "integral", the exact slice average '
+                      '(the midpoint_endpoint_mean mode was removed)')
 
     basis_cfg = _section(raw, "basis", errors)
     _check_keys(basis_cfg, {"truncation"}, "basis", errors)
@@ -340,6 +335,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
             errors.append("initial_state.eigenstate: must be >= 0")
         if eigenstate is not None and points is not None and eigenstate >= points:
             errors.append("initial_state.eigenstate: must be < grid.points")
+        if eigenstate is not None and truncation is not None and eigenstate >= truncation:
+            errors.append("initial_state.eigenstate: must be < basis.truncation")
 
     outputs = _section(raw, "outputs", errors)
     _check_keys(outputs, {"directory", "emit"}, "outputs", errors)
@@ -358,6 +355,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
     if not isinstance(reference, bool):
         errors.append("reference: expected true or false")
         reference = False
+    if reference and potential.kind == "tabulated":
+        errors.append("reference: a tabulated potential has no t0-frozen reference; "
+                      "give a harmonic or scaled_harmonic potential")
 
     covered = [("schedule.t0", t0), ("schedule.t1", t1)]
     dirac_cfg = raw.get("dirac")
@@ -388,7 +388,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
             elif eigenstate is not None and states is not None and eigenstate >= states:
                 errors.append("initial_state.eigenstate: must be < dirac.states")
 
-    if potential.kind == "tabulated" or profile.kind == "sampled":
+    if potential.kind == "tabulated" or potential.profile.kind == "sampled":
         knots = potential.breakpoints()
         for name, t in covered:
             if t is not None and not knots[0] <= t <= knots[-1]:
@@ -422,8 +422,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         raw=raw,
         grid=grid,
         hamiltonian=HamiltonianSpec(mass, hbar, potential),
-        profile=profile,
-        t0=t0, t1=t1, slices=slices, averaging=averaging,
+        t0=t0, t1=t1, slices=slices,
         truncation=truncation,
         eigenstate=eigenstate, amplitudes=amplitudes,
         out_dir=out_dir, emit=tuple(emit), reference=reference, dirac=dirac_cfg,
@@ -524,11 +523,14 @@ def _initial_state(config: ScenarioConfig) -> WaveFunction:
 
 
 def _reference_hamiltonian(config: ScenarioConfig) -> HamiltonianSpec:
-    """Same Hamiltonian but with the scale frozen at its t0 value."""
+    """The Hamiltonian frozen at t0.  A harmonic potential does not depend
+    on t and is returned as it is; a scaled_harmonic one gets the constant
+    profile S(t0).  Validation rejects `reference: true` for a tabulated
+    potential, the only other kind."""
     pot = config.hamiltonian.potential
     if pot.kind != "scaled_harmonic":
         return config.hamiltonian
-    frozen = ScaleProfile.constant(config.profile(config.t0))
+    frozen = ScaleProfile.constant(pot.profile(config.t0))
     return HamiltonianSpec(config.hamiltonian.mass, config.hamiltonian.hbar,
                            PotentialSpec.scaled_harmonic(pot.k, frozen))
 
@@ -540,8 +542,8 @@ def _energy_scale(config: ScenarioConfig) -> float:
     h = config.hamiltonian
     pot = h.potential
     if pot.kind in ("harmonic", "scaled_harmonic"):
-        k_eff = pot.k * (config.profile(config.t0) if pot.kind == "scaled_harmonic" else 1.0)
-        return 0.5 * h.hbar * math.sqrt(k_eff / h.mass)
+        # a harmonic potential's profile is the constant 1
+        return 0.5 * h.hbar * math.sqrt(pot.k * pot.profile(config.t0) / h.mass)
     basis = eigendecompose(discretize(h, config.grid, config.t0), config.grid, 1)
     return float(basis.energies[0])
 
@@ -555,7 +557,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
     with _output_files(out) as create:
         psi0 = _initial_state(config)
         schedule = build_schedule(config.t0, config.t1, config.slices,
-                                  config.profile, config.averaging)
+                                  config.hamiltonian.potential.profile)
         tick = time.perf_counter()
         result = evolve(psi0, config.hamiltonian, schedule, config.truncation)
         evolve_s = time.perf_counter() - tick
@@ -563,8 +565,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
 
         phase = None
         if config.reference:
-            schedule = build_schedule(config.t0, config.t1, config.slices,
-                                      None, config.averaging)
+            schedule = build_schedule(config.t0, config.t1, config.slices)
             tick = time.perf_counter()
             ref = evolve(psi0, _reference_hamiltonian(config), schedule,
                          config.truncation)
@@ -646,7 +647,7 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
 
         def final_state(n_slices: int, scheme: str = "average") -> np.ndarray:
             schedule = build_schedule(config.t0, config.t1, n_slices,
-                                      config.profile, config.averaging)
+                                      config.hamiltonian.potential.profile)
             return evolve(psi0, config.hamiltonian, schedule, config.truncation,
                           scheme=scheme).final_state.amplitudes
 
@@ -702,12 +703,10 @@ def compare_dirac_scenario(config: ScenarioConfig,
 
         # multi-projection run over the same window, projected back onto the
         # initial basis
-        schedule = build_schedule(t0, t_end, config.slices, config.profile,
-                                  config.averaging)
-        mp_result = evolve(psi0, h, schedule, config.truncation, final_basis=basis0)
-        mp_coeffs = mp_result.final_coefficients
+        schedule = build_schedule(t0, t_end, config.slices, h.potential.profile)
+        mp_coeffs = project(evolve(psi0, h, schedule, config.truncation).final_state, basis0)
 
-        omegas = basis0.frequencies(h.hbar)
+        omegas = basis0.energies / h.hbar
         v_of_t = dirac_mod.perturbation_operator(h, basis0, t0)
 
         c0 = np.zeros(n_states, dtype=complex)

@@ -144,11 +144,10 @@ class TestAcceptance:
             h = hamiltonian(profile)
             basis0 = eigendecompose(discretize(h, grid, -1.0), grid, n_states)
             psi0 = basis0.state(0)
-            res = evolve(psi0, h, build_schedule(0.0, big_t, 4, profile),
-                         n_states, final_basis=basis0)
-            c_mp = res.final_coefficients[2]
+            res = evolve(psi0, h, build_schedule(0.0, big_t, 4, profile), n_states)
+            c_mp = project(res.final_state, basis0)[2]
 
-            omegas = basis0.frequencies(1.0)
+            omegas = basis0.energies
             v = perturbation_elements(h, basis0, 0.5 * big_t, -1.0)
             c0 = np.zeros(n_states, dtype=complex)
             c0[0] = project(psi0, basis0)[0]

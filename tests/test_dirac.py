@@ -181,7 +181,7 @@ class TestIntegrateAmplitudes:
         h = scaled(ScaleProfile.sampled([0.0, 1.0, 3.0], [1.0, 1.5, 0.8]))
         _, basis = oscillator_basis(12)
         op = perturbation_operator(h, basis, 0.0)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         c = np.zeros(12, dtype=complex)
         c[0], c[2] = 0.8, 0.6j
         traj = integrate_amplitudes(op, omegas, c, (0.0, 3.0), 90)
@@ -204,7 +204,7 @@ class TestIntegrateAmplitudes:
         h = quench_hamiltonian(1.2, t_on=0.0)
         _, basis = oscillator_basis(10)
         v = perturbation_elements(h, basis, 1.0, t0=-1.0)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         c0 = np.zeros(10, dtype=complex)
         c0[0] = 1.0
 
@@ -223,7 +223,7 @@ class TestIntegrateAmplitudes:
         h = quench_hamiltonian(1.0 + eps, t_on=0.0)
         _, basis = oscillator_basis(16)
         v = perturbation_elements(h, basis, 1.0, t0=-1.0)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         c0 = np.zeros(16, dtype=complex)
         c0[0] = 1.0
         traj = integrate_amplitudes(lambda t: v, omegas, c0, (0.0, 10.0), 400)
@@ -256,7 +256,7 @@ class TestFirstOrderAmplitude:
     def test_matches_quad(self, h, t0, big_t):
         _, basis = oscillator_basis(12)
         op = perturbation_operator(h, basis, t0)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         knots = h.potential.breakpoints() - t0
         inside = [t for t in knots if 0 < t < big_t] or None
         for n, m in ((0, 2), (2, 6), (0, 1)):
@@ -297,7 +297,7 @@ class TestFirstOrderAmplitude:
         h = quench_hamiltonian(1.0 + eps, t_on=0.0)
         _, basis = oscillator_basis(16)
         v = perturbation_elements(h, basis, 1.0, t0=-1.0)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         c0 = np.zeros(16, dtype=complex)
         c0[0] = 1.0
         big_t = 3.0
@@ -310,7 +310,7 @@ class TestFirstOrderAmplitude:
     def test_residual_scales_quadratically(self):
         # |C_rk4 - b_first_order| should drop by ~4x when eps is halved.
         _, basis = oscillator_basis(16)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         c0 = np.zeros(16, dtype=complex)
         c0[0] = 1.0
         big_t = 3.0
@@ -347,7 +347,7 @@ class TestDivergenceDiagnostic:
         h = quench_hamiltonian(0.25, t_on=0.0)
         _, basis = oscillator_basis(16)
         v = perturbation_elements(h, basis, 1.0, t0=-1.0)
-        omegas = basis.frequencies(1.0)
+        omegas = basis.energies
         c0 = np.zeros(16, dtype=complex)
         c0[0] = 1.0
         traj = integrate_amplitudes(lambda t: v, omegas, c0, (0.0, 30.0), 60)

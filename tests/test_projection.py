@@ -121,8 +121,7 @@ def round_trip_evolve(psi0, h, schedule, truncation, scheme):
     state, diagonal, basis = psi0, None, None
     energies, norms = [], []
     for j in range(schedule.slices):
-        for matrix, share in _slice_factors(h, grid, bounds[j], bounds[j + 1],
-                                            schedule.averaging, scheme):
+        for matrix, share in _slice_factors(h, grid, bounds[j], bounds[j + 1], scheme):
             dt = share * (bounds[j + 1] - bounds[j])
             if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
                 basis = eigendecompose(matrix, grid, truncation, guess=basis)
@@ -186,20 +185,18 @@ class TestBuildSchedule:
 class TestStepwiseHamiltonian:
     def test_time_independent_matches_discretize(self):
         frozen = discretize(HARMONIC, GRID, 0.3)
-        for mode in ("integral", "midpoint_endpoint_mean"):
-            m = stepwise_hamiltonian(HARMONIC, GRID, 0.0, 1.0, mode)
-            assert np.array_equal(m.diagonal, frozen.diagonal)
-            assert np.array_equal(m.off_diagonal, frozen.off_diagonal)
+        m = stepwise_hamiltonian(HARMONIC, GRID, 0.0, 1.0)
+        assert np.array_equal(m.diagonal, frozen.diagonal)
+        assert np.array_equal(m.off_diagonal, frozen.off_diagonal)
 
     def test_linear_ramp_averages_to_half(self):
-        # V(x, t) = t x^2 over [0, 1] averages to x^2 / 2 in both modes
+        # V(x, t) = t x^2 over [0, 1] averages to x^2 / 2
         g = Grid(-2.0, 2.0, 9)
         pot = PotentialSpec.tabulated(g.x, [0.0, 1.0], [np.zeros(9), g.x**2])
         h = HamiltonianSpec(1.0, 1.0, pot)
         kin = 1.0 / g.dx**2
-        for mode in ("integral", "midpoint_endpoint_mean"):
-            m = stepwise_hamiltonian(h, g, 0.0, 1.0, mode)
-            assert np.allclose(m.diagonal - kin, 0.5 * g.x**2, atol=1e-12)
+        m = stepwise_hamiltonian(h, g, 0.0, 1.0)
+        assert np.allclose(m.diagonal - kin, 0.5 * g.x**2, atol=1e-12)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(averaging_cases())
@@ -227,7 +224,7 @@ class TestStepwiseHamiltonian:
 
     def test_step_slice_after_switch_is_exactly_quenched(self):
         h = quench_hamiltonian(0.25)
-        m = stepwise_hamiltonian(h, GRID, 0.5, 1.0, "integral")
+        m = stepwise_hamiltonian(h, GRID, 0.5, 1.0)
         frozen = discretize(HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(0.25)),
                             GRID, 0.0)
         assert np.array_equal(m.diagonal, frozen.diagonal)
@@ -343,8 +340,8 @@ class TestIntermediateEnergy:
 class TestEvolve:
     def test_stationary_state(self, basis64, ground):
         schedule = build_schedule(0.0, 0.02, 5)
-        res = evolve(ground, HARMONIC, schedule, truncation=64, final_basis=basis64)
-        c = res.final_coefficients
+        res = evolve(ground, HARMONIC, schedule, truncation=64)
+        c = project(res.final_state, basis64)
         assert abs(abs(c[0]) - 1.0) < 1e-8
         assert np.abs(c[1:]).max() < 1e-8
         # phase agrees with exp(-i 0.5 t) for short evolutions
@@ -512,10 +509,11 @@ class TestEvolve:
             discretize(HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(0.25)),
                        GRID, 0.0), GRID, 32)
         res1 = evolve(ground, h, build_schedule(0.0, 2.0, 1, h.potential.profile),
-                      truncation=32, final_basis=bq)
+                      truncation=32)
         res100 = evolve(ground, h, build_schedule(0.0, 2.0, 100, h.potential.profile),
-                        truncation=32, final_basis=bq)
-        assert np.abs(res1.final_coefficients - res100.final_coefficients).max() < 1e-9
+                        truncation=32)
+        c1, c100 = (project(r.final_state, bq) for r in (res1, res100))
+        assert np.abs(c1 - c100).max() < 1e-9
 
     def test_nonfinite_initial_state_rejected(self):
         bad = WaveFunction(GRID, np.full(1024, np.nan, dtype=complex))

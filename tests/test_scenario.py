@@ -1,5 +1,6 @@
 """Tests for scenario parsing, the run/converge/compare drivers, and the CLI."""
 
+import contextlib
 import copy
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpsolve import scenario as scenario_mod
@@ -55,7 +56,7 @@ def quench_doc(eta=0.25, truncation=64, slices=4, t1=2.0, points=1024):
 class TestParse:
     def test_bundled_quench(self):
         cfg = parse_scenario(bundled_scenario_path("quench_eta025"))
-        assert cfg.profile(1.0) == 0.25
+        assert cfg.hamiltonian.potential.profile(1.0) == 0.25
         assert cfg.slices == 4
         assert cfg.truncation == 64
         assert cfg.dirac is not None and cfg.dirac["states"] == 16
@@ -100,6 +101,15 @@ class TestParse:
         with pytest.raises(ScenarioError, match="not valid JSON"):
             parse_scenario(str(path))
 
+    def test_reference_rejected_for_tabulated_potential(self, tmp_path):
+        # a run would compare with itself: only harmonic kinds can be frozen
+        doc = with_change(tabulated_doc(), ("reference",), True)
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert excinfo.value.violations == [
+            "reference: a tabulated potential has no t0-frozen reference; "
+            "give a harmonic or scaled_harmonic potential"]
+
 
 def tabulated_doc(t_samples=(0.0, 2.0), x_samples=None):
     xs = np.linspace(-2.0, 2.0, 9) if x_samples is None else np.asarray(x_samples)
@@ -110,6 +120,74 @@ def tabulated_doc(t_samples=(0.0, 2.0), x_samples=None):
                       "v_samples": [(0.5 * xs**2).tolist()] * len(t_samples)},
         "schedule": {"t0": 0.0, "t1": 2.0, "slices": 4},
         "basis": {"truncation": 2},
+    }
+
+
+def tabulated_ramp_doc():
+    """V = (1 + 0.8 t) x^2 / 2 on t in [0, 2], tabulated on 128 nodes."""
+    xs = np.linspace(-8.0, 8.0, 128)
+    return {
+        "grid": {"x_min": -8.0, "x_max": 8.0, "points": 128},
+        "potential": {"kind": "tabulated", "x_samples": xs.tolist(),
+                      "t_samples": [0.0, 2.0],
+                      "v_samples": [(0.5 * xs**2).tolist(), (1.3 * xs**2).tolist()]},
+        "schedule": {"t0": 0.0, "t1": 2.0, "slices": 2},
+        "basis": {"truncation": 8},
+    }
+
+
+@st.composite
+def small_scenarios(draw):
+    """A scenario document on at most 64 nodes, with at most 4 slices and
+    at most 8 retained states, for every potential and scale-profile kind.
+    Most drawn documents validate; the rest give violations."""
+    points = draw(st.integers(3, 64))
+    half_width = draw(st.floats(0.5, 20.0))
+    t0 = draw(st.floats(-2.0, 2.0))
+    t1 = t0 + draw(st.floats(0.01, 4.0))
+    magnitude = st.floats(0.01, 100.0)
+    times = sorted(set([t0, t1] + draw(st.lists(st.floats(t0, t1), max_size=4))))
+    kind = draw(st.sampled_from(("harmonic", "constant", "step", "pulse", "sampled",
+                                 "tabulated")))
+    if kind == "harmonic":
+        potential = {"kind": "harmonic", "k": draw(magnitude)}
+    elif kind == "tabulated":
+        # a well whose depth varies in time, roughened node by node
+        xs = Grid(-half_width, half_width, points).x
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        depths = draw(st.lists(magnitude, min_size=len(times), max_size=len(times)))
+        potential = {"kind": "tabulated", "x_samples": xs.tolist(), "t_samples": times,
+                     "v_samples": [(0.5 * d * xs**2 + rng.uniform(-0.1, 0.1, points)).tolist()
+                                   for d in depths]}
+    else:
+        if kind == "constant":
+            scale = {"kind": "constant", "value": draw(magnitude)}
+        elif kind == "step":
+            scale = {"kind": "step", "eta": draw(magnitude),
+                     "t_on": draw(st.floats(t0 - 1.0, t1 + 1.0))}
+        elif kind == "pulse":
+            t_on = draw(st.floats(t0 - 1.0, t1))
+            scale = {"kind": "pulse", "eta": draw(magnitude), "t_on": t_on,
+                     "t_off": t_on + draw(st.floats(0.01, 2.0))}
+        else:
+            scale = {"kind": "sampled", "times": times,
+                     "values": draw(st.lists(magnitude, min_size=len(times),
+                                             max_size=len(times)))}
+        potential = {"kind": "scaled_harmonic", "k": draw(magnitude), "scale": scale}
+    truncation = draw(st.integers(1, 8))
+    return {
+        "grid": {"x_min": -half_width, "x_max": half_width, "points": points},
+        "units": {"hbar": draw(st.floats(0.1, 10.0)), "mass": draw(st.floats(0.1, 10.0))},
+        "potential": potential,
+        "schedule": {"t0": t0, "t1": t1, "slices": draw(st.integers(1, 4)),
+                     "averaging": "integral"},
+        "basis": {"truncation": truncation},
+        # eigenstate == truncation is the one rejected value
+        "initial_state": {"eigenstate": draw(st.integers(0, truncation))},
+        "outputs": {"emit": draw(st.lists(st.sampled_from(["energy", "coefficients",
+                                                           "summary"]), unique=True))},
+        # a tabulated potential with a reference is rejected, see TestParse
+        "reference": kind != "tabulated" and draw(st.booleans()),
     }
 
 
@@ -182,7 +260,10 @@ class TestValidate:
         (("outputs", "emit"), "energy", "outputs.emit: expected a list"),
         (("outputs", "directory"), 7, "outputs.directory: expected a path string"),
         (("schedule", "averaging"), "gauss",
-         "schedule.averaging: must be one of integral/midpoint_endpoint_mean"),
+         'schedule.averaging: must be "integral", the exact slice average '
+         '(the midpoint_endpoint_mean mode was removed)'),
+        (("initial_state", "eigenstate"), 64,
+         "initial_state.eigenstate: must be < basis.truncation"),
     ])
     def test_bad_shapes_and_indices(self, tmp_path, path, value, violation):
         doc = with_change(quench_doc(), path, value)
@@ -213,14 +294,15 @@ class TestValidate:
         assert ("invalid scenario: initial_state.amplitude_file: " + violation
                 in capsys.readouterr().err.splitlines())
 
-    @pytest.mark.parametrize("initial_state, violation", [
-        ({"eigenstate": 50}, "initial_state.eigenstate: must be < dirac.states"),
+    @pytest.mark.parametrize("initial_state, violations", [
+        ({"eigenstate": 50}, ["initial_state.eigenstate: must be < basis.truncation",
+                              "initial_state.eigenstate: must be < dirac.states"]),
         ({"amplitude_file": "amps.csv"},
-         "dirac: compare-dirac starts from one retained eigenstate; "
-         "give initial_state.eigenstate, not amplitude_file"),
+         ["dirac: compare-dirac starts from one retained eigenstate; "
+          "give initial_state.eigenstate, not amplitude_file"]),
     ], ids=["eigenstate_not_retained", "amplitude_file"])
     def test_dirac_needs_a_retained_eigenstate(self, tmp_path, capsys, initial_state,
-                                                violation):
+                                                violations):
         g = np.linspace(-10.0, 10.0, 400)
         ground = np.exp(-g**2 / 2) / math.pi**0.25
         amps = (ground + ground * (2 * g**2 - 1) / math.sqrt(2)) / math.sqrt(2)
@@ -228,7 +310,8 @@ class TestValidate:
             "re,im\n" + "".join("%r,0.0\n" % a for a in amps.tolist()))
         doc = with_change(dirac_weak_doc(), ("initial_state",), initial_state)
         assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["invalid scenario: " + violation]
+        assert capsys.readouterr().err.splitlines() == ["invalid scenario: " + v
+                                                        for v in violations]
 
     def test_grid_too_coarse_for_the_retained_states(self, tmp_path, capsys):
         # the 16 lowest states of k = 4 on 64 nodes end in a pair split by
@@ -340,6 +423,28 @@ class TestValidate:
                 parse_scenario(scenario)
             except ScenarioError:
                 pass
+
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(small_scenarios())
+    @example({  # passed validate, then projected onto no retained state: zero norm
+        "grid": {"x_min": -0.5, "x_max": 0.5, "points": 3},
+        "potential": {"kind": "harmonic", "k": 1.0},
+        "schedule": {"t0": 0.0, "t1": 1.0, "slices": 1},
+        "basis": {"truncation": 1},
+        "initial_state": {"eigenstate": 1},
+        "outputs": {"emit": []},
+    })
+    def test_valid_scenario_runs(self, doc):
+        # validate exits 0 => run exits 0; an exception fails the test
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_scenario(Path(tmp), doc)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                if cli_main(["validate", path]) != 0:
+                    return
+                code = cli_main(["run", path, "--out", str(Path(tmp) / "out")])
+            assert code == 0, err.getvalue()
 
 
 def per_value_csv(header, rows):
@@ -544,7 +649,7 @@ class TestConverge:
         psi0 = scenario_mod._initial_state(cfg)
 
         def final(n, scheme):
-            schedule = build_schedule(cfg.t0, cfg.t1, n, cfg.profile, cfg.averaging)
+            schedule = build_schedule(cfg.t0, cfg.t1, n, cfg.hamiltonian.potential.profile)
             return evolve(psi0, cfg.hamiltonian, schedule, cfg.truncation,
                           scheme=scheme).final_state.amplitudes
 
@@ -750,6 +855,20 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "doublings >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, flat", [
+        (tabulated_ramp_doc(), False),
+        (smooth_ramp_doc(), False),
+        (json.loads(Path(bundled_scenario_path("quench_eta025")).read_text()), True),
+    ], ids=["tabulated_ramp", "smooth_ramp", "quench_eta025"])
+    def test_converge_flat_warning_follows_the_potential(self, tmp_path, capsys, doc, flat):
+        path = write_scenario(tmp_path, doc)
+        assert cli_main(["converge", path, "--doublings", "2",
+                         "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert ("convergence trivially flat" in captured.err) == flat
+        errors = [float(line.split()[-1]) for line in captured.out.splitlines()]
+        assert (max(errors) < 1e-9) == flat
 
     def test_missing_file_exit_code(self, capsys):
         assert cli_main(["validate", "/nonexistent/scn.json"]) == 1
