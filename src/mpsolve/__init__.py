@@ -38,7 +38,6 @@ from .projection import (
     intermediate_energy,
     project,
     reconstruct,
-    stepwise_hamiltonian,
 )
 
 __version__ = "0.1.0"

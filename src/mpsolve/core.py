@@ -23,6 +23,7 @@ __all__ = [
     "ScaleProfile",
     "PotentialSpec",
     "HamiltonianSpec",
+    "gauss_pieces",
     "inner_product",
     "norm_squared",
 ]
@@ -215,32 +216,25 @@ class PotentialSpec:
                    t_samples=np.asarray(t_samples, float),
                    v_samples=np.asarray(v_samples, float))
 
-    def evaluate(self, x, t: float):
-        """V(x, t) for scalar or array x."""
+    def evaluate(self, x, t):
+        """V(x, t) for scalar or array x at a time t, or one row per time
+        for a 1-D array t."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "harmonic":
-            out = 0.5 * self.k * x**2
-        elif self.kind == "scaled_harmonic":
-            out = 0.5 * self.profile(t) * self.k * x**2
-        else:
-            if t < self.t_samples[0] or t > self.t_samples[-1]:
+        if self.kind == "tabulated":
+            t = np.asarray(t, dtype=float)
+            ts = self.t_samples
+            if np.any(t < ts[0]) or np.any(t > ts[-1]):
                 raise ValueError("time out of range")
-            j = np.searchsorted(self.t_samples, t, side="right") - 1
-            j = min(max(j, 0), self.t_samples.size - 2)
-            t0, t1 = self.t_samples[j], self.t_samples[j + 1]
-            frac = (t - t0) / (t1 - t0)
-            row = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
-            if x.ndim == 0:
-                idx = np.argmin(np.abs(self.x_samples - x))
-                if abs(self.x_samples[idx] - float(x)) > 1e-12:
-                    raise ValueError("tabulated potential is exact at x nodes only")
-                out = np.asarray(row[idx])
-            else:
-                if x.shape != self.x_samples.shape or not np.allclose(
-                    x, self.x_samples, rtol=0, atol=1e-12
-                ):
-                    raise ValueError("tabulated potential requires the sampled x grid")
-                out = row
+            j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+            frac = ((t - ts[j]) / (ts[j + 1] - ts[j]))[..., None]
+            if x.shape != self.x_samples.shape or not np.allclose(
+                x, self.x_samples, rtol=0, atol=1e-12
+            ):
+                raise ValueError("tabulated potential requires the sampled x grid")
+            out = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
+        else:  # a harmonic potential's profile is the constant 1
+            s = np.array([self.profile(u) for u in t]) if np.ndim(t) else self.profile(t)
+            out = np.multiply.outer(0.5 * s * self.k, x**2)
         if not np.all(np.isfinite(out)):
             raise ValueError("potential evaluated to a non-finite value")
         return out if out.ndim else float(out)
@@ -269,6 +263,17 @@ class HamiltonianSpec:
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
-    def potential_on_grid(self, grid: Grid, t: float) -> np.ndarray:
+    def potential_on_grid(self, grid: Grid, t) -> np.ndarray:
+        """V on the grid nodes at a time t, or one row per time for a 1-D
+        array t."""
         return np.asarray(self.potential.evaluate(grid.x, t), dtype=float)
 
+
+def gauss_pieces(knots, t_a: float, t_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, half): midpoints and half-widths of the pieces that the knots
+    strictly inside (t_a, t_b) cut [t_a, t_b] into.  A V that is linear in
+    t on every piece is integrated exactly by two-point Gauss-Legendre on
+    each, at mid -+ half / sqrt(3), and never evaluated at a knot."""
+    knots = np.asarray(knots, dtype=float)
+    cuts = np.concatenate(([t_a], np.unique(knots[(knots > t_a) & (knots < t_b)]), [t_b]))
+    return 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])

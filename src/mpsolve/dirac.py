@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import HamiltonianSpec
+from .core import HamiltonianSpec, gauss_pieces
 from .eigensolver import EigenBasis
 
 __all__ = [
@@ -164,9 +164,7 @@ def first_order_amplitude(v_mn: Callable[[float], complex], n: int, m: int,
     """
     if m == n:
         raise ValueError("diagonal amplitude undefined at first order")
-    knots = np.asarray(breakpoints, dtype=float)
-    cuts = np.concatenate(([0.0], np.unique(knots[(knots > 0) & (knots < big_t)]), [big_t]))
-    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+    mid, half = gauss_pieces(breakpoints, 0.0, big_t)
     lo = np.array([v_mn(t) for t in mid - half / math.sqrt(3.0)], dtype=complex)
     hi = np.array([v_mn(t) for t in mid + half / math.sqrt(3.0)], dtype=complex)
     # about each mid V = p + q s with q h = (hi - lo) sqrt(3)/2, and

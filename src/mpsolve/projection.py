@@ -13,24 +13,27 @@ through the per-slice norm, never renormalized).  The norm and the energy
 of each slice come from the coefficients: sum |C_k|^2 and
 sum E_k |C_k|^2 / sum |C_k|^2.
 
-Two schemes choose the factors.  "average" (the paper's step) freezes H to
-its exact time average over the slice: the exponential midpoint rule,
-second order in the slice width.  "cfm4" is the fourth-order
-commutator-free Magnus scheme (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470:151, 2009; Alvermann & Fehske, J. Comput. Phys. 230:5930, 2011): two
-half-width factors whose potentials mix the values at the slice's two
-Gauss points.  It reaches fourth order where V is smooth in t over every
-slice.
+Two schemes choose the factors, both from the first two Legendre moments
+of V over the slice, m0 = (1/dt) int V and d = (4/dt^2) int (t - t_mid) V.
+Every supported V is linear in t between its breakpoints, so two-point
+Gauss-Legendre on each piece between them gives both exactly.  "average"
+(the paper's step) freezes H to m0, its exact time average over the slice:
+the exponential midpoint rule, second order in the slice width.  "cfm4" is
+the fourth-order commutator-free Magnus scheme (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470:151, 2009; Alvermann & Fehske, J. Comput. Phys. 230:5930,
+2011): two half-width factors with potentials m0 - d and m0 + d.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Grid, HamiltonianSpec, ScaleProfile, WaveFunction, inner_product, norm_squared
+from .core import (Grid, HamiltonianSpec, ScaleProfile, WaveFunction, gauss_pieces,
+                   inner_product, norm_squared)
 from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, tridiagonal_hamiltonian
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "ProjectionStepReport",
     "EvolutionResult",
     "build_schedule",
-    "stepwise_hamiltonian",
     "project",
     "reconstruct",
     "intermediate_energy",
@@ -46,11 +48,6 @@ __all__ = [
 ]
 
 SCHEMES = ("average", "cfm4")
-
-# CFM4: Gauss points at t_mid -+ _GAUSS_OFFSET * dt; each factor weights the
-# other point's potential by 2 * _CFM4_B (a negative number)
-_GAUSS_OFFSET = np.sqrt(3.0) / 6.0
-_CFM4_B = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 
 
 @dataclass(frozen=True)
@@ -121,24 +118,6 @@ def build_schedule(t0: float, t1: float, slices: int,
     return SliceSchedule(np.array(sorted(bounds)))
 
 
-def stepwise_hamiltonian(h: HamiltonianSpec, grid: Grid, t_a: float,
-                         t_b: float) -> SymTridiagonal:
-    """Tridiagonal matrix of the Hamiltonian time-averaged over [t_a, t_b].
-
-    The slice is cut at the potential's breakpoints inside it and each piece
-    contributes its midpoint value weighted by its length.  Every supported
-    potential is linear in t between breakpoints, so this is the exact time
-    average; a slice without breakpoints gets weight exactly 1.
-    """
-    if not t_a < t_b:
-        raise ValueError("slice requires t_a < t_b")
-    knots = h.potential.breakpoints()
-    cuts = np.concatenate(([t_a], knots[(knots > t_a) & (knots < t_b)], [t_b]))
-    v = sum((hi - lo) / (t_b - t_a) * h.potential_on_grid(grid, 0.5 * (lo + hi))
-            for lo, hi in zip(cuts[:-1], cuts[1:]))
-    return tridiagonal_hamiltonian(h, grid, v)
-
-
 def project(psi: WaveFunction, basis: EigenBasis) -> np.ndarray:
     """Coefficients C_k = <k|psi> in the package inner product.
 
@@ -151,19 +130,12 @@ def project(psi: WaveFunction, basis: EigenBasis) -> np.ndarray:
     return pairs.view(complex)[:, 0]
 
 
-def reconstruct(coefficients: np.ndarray, basis: EigenBasis,
-                phases: np.ndarray | None = None) -> WaveFunction:
-    """Sum_k C_k phase_k |k> back on the grid (phases default to ones),
-    computed as V @ c2 with c2 the coefficients viewed as a real (M, 2)
-    array of (re, im)."""
+def reconstruct(coefficients: np.ndarray, basis: EigenBasis) -> WaveFunction:
+    """Sum_k C_k |k> back on the grid, computed as V @ c2 with c2 the
+    coefficients viewed as a real (M, 2) array of (re, im)."""
     c = np.asarray(coefficients, dtype=complex)
     if c.shape != (basis.truncation,):
         raise ValueError("coefficient vector does not match basis size")
-    if phases is not None:
-        phases = np.asarray(phases, dtype=complex)
-        if phases.shape != c.shape:
-            raise ValueError("phase vector does not match basis size")
-        c = c * phases
     pairs = basis.vectors @ _as_pairs(c)
     return WaveFunction(basis.source_grid, pairs.view(complex)[:, 0])
 
@@ -186,20 +158,39 @@ def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:
     return inner_product(psi, h_psi).real / nsq
 
 
+def _moments(h: HamiltonianSpec, grid: Grid, t_a: float,
+             t_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(m0, d) on the grid: m0 = (1/dt) int V dt and
+    d = (4/dt^2) int (t - t_mid) V dt over [t_a, t_b], from two-point Gauss
+    on each of `gauss_pieces`' pieces, with one evaluation of V.
+
+    Per piece the sums V- + V+ and differences V+ - V- of the two Gauss
+    values enter with weights divided by dt, never by dt^2 (which is 0 for a
+    slice shorter than about 1e-154).  So a one-piece slice where V- == V+
+    gets m0 == V bit for bit and d == 0 exactly.
+    """
+    dt = t_b - t_a
+    mid, half = gauss_pieces(h.potential.breakpoints(), t_a, t_b)
+    s = half / math.sqrt(3.0)
+    lo, hi = np.split(h.potential_on_grid(grid, np.concatenate((mid - s, mid + s))), 2)
+    total = lo + hi
+    w = half / dt
+    m0 = w @ total
+    d = 4.0 * ((w * (mid - 0.5 * (t_a + t_b)) / dt) @ total + (w * s / dt) @ (hi - lo))
+    return m0, d
+
+
 def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
                    scheme: str) -> list[tuple[SymTridiagonal, float]]:
     """The (matrix, share of the slice width) factors that carry a state
-    across [t_a, t_b], in the order they are applied."""
+    across [t_a, t_b], in the order they are applied: m0 under "average",
+    m0 - d and m0 + d under "cfm4".  Where V is constant over the slice
+    d == 0, so both cfm4 factors share one basis."""
+    m0, d = _moments(h, grid, t_a, t_b)
     if scheme == "average":
-        return [(stepwise_hamiltonian(h, grid, t_a, t_b), 1.0)]
-    dt = t_b - t_a
-    t_mid = 0.5 * (t_a + t_b)
-    v1 = h.potential_on_grid(grid, t_mid - _GAUSS_OFFSET * dt)
-    v2 = h.potential_on_grid(grid, t_mid + _GAUSS_OFFSET * dt)
-    # v1 == v2 gives both factors exactly v1, the slice average of a
-    # piecewise-constant profile, so those slices reuse one basis
-    return [(tridiagonal_hamiltonian(h, grid, v1 + 2.0 * _CFM4_B * (v2 - v1)), 0.5),
-            (tridiagonal_hamiltonian(h, grid, v2 + 2.0 * _CFM4_B * (v1 - v2)), 0.5)]
+        return [(tridiagonal_hamiltonian(h, grid, m0), 1.0)]
+    return [(tridiagonal_hamiltonian(h, grid, m0 - d), 0.5),
+            (tridiagonal_hamiltonian(h, grid, m0 + d), 0.5)]
 
 
 def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
@@ -209,7 +200,7 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
 
     `scheme` "average" applies each slice as one factor, the Hamiltonian's
     exact time average over the slice; "cfm4" applies it as two half-width
-    factors built from the slice's Gauss points.  A factor whose matrix
+    factors built from the slice's exact first two moments of V.  A factor whose matrix
     equals the previous factor's reuses its eigenpairs and only multiplies
     the coefficients by its phases; any other factor is solved anew,
     warm-started from the previous factor's eigenpairs, and the state is

@@ -446,7 +446,7 @@ def _wells(h: HamiltonianSpec, grid: Grid,
         times = pot.breakpoints().tolist()
         if t0 is not None and times[0] <= t0 <= times[-1]:
             times.append(t0)
-        wells = [h.potential_on_grid(grid, t) for t in times]
+        wells = h.potential_on_grid(grid, np.array(times))
     else:  # a harmonic potential's profile is the constant 1
         profile = pot.profile
         if profile.kind == "sampled":

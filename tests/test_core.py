@@ -149,6 +149,22 @@ class TestEvaluatePotential:
         pot = PotentialSpec.tabulated(g.x, [0.0, 1.0], [v0, v1])
         h = HamiltonianSpec(1.0, 1.0, pot)
         assert np.allclose(h.potential_on_grid(g, 0.5), 0.5 * g.x**2)
-        assert h.potential.evaluate(1.0, 1.0) == pytest.approx(1.0)
+        assert h.potential_on_grid(g, 1.0)[-1] == pytest.approx(1.0)
         with pytest.raises(ValueError, match="time out of range"):
             h.potential.evaluate(0.0, 2.0)
+
+    def test_one_row_per_time_matches_scalar_calls(self):
+        g = Grid(-1.0, 1.0, 5)
+        ts = np.array([0.0, 0.3, 0.5, 1.0, 1.7])
+        for pot in (PotentialSpec.harmonic(0.7),
+                    PotentialSpec.scaled_harmonic(0.7, ScaleProfile.pulse(2.0, 0.3, 1.0)),
+                    PotentialSpec.scaled_harmonic(
+                        0.7, ScaleProfile.sampled([0.0, 2.0], [1.0, 3.0])),
+                    PotentialSpec.tabulated(g.x, [0.0, 0.5, 2.0],
+                                            [np.zeros(5), g.x**2, -g.x])):
+            h = HamiltonianSpec(1.0, 1.0, pot)
+            rows = h.potential_on_grid(g, ts)
+            assert rows.shape == (ts.size, g.points)
+            assert np.array_equal(rows, [h.potential_on_grid(g, t) for t in ts])
+        with pytest.raises(ValueError, match="time out of range"):
+            h.potential_on_grid(g, np.array([0.5, 2.5]))

@@ -5,16 +5,19 @@ comparator scenarios the way `mpsolve compare-dirac` compares them.  These
 values guard refactors of the engine: a change that keeps the numerics must
 reproduce them.  smooth_ramp is pinned at the exact slice average of its
 piecewise-linear ramp; the 16-point Gauss-Legendre average it replaced gave
-values up to 9.9e-7 away.
+values up to 9.9e-7 away.  `converge smooth_ramp` is pinned looser, see
+GOLDEN_CONVERGE.
 """
 
 import csv
+import json
 
 import pytest
 
 from mpsolve.scenario import (
     bundled_scenario_path,
     compare_dirac_scenario,
+    converge_scenario,
     parse_scenario,
     run_scenario,
 )
@@ -91,6 +94,19 @@ GOLDEN_DIRAC = {
     ],
 }
 
+# `converge smooth_ramp --doublings 3`: convergence.csv rows (slices,
+# l2_error, observed_order) and the reference's error estimate.  Each is the
+# distance between two runs, so rounding in either moves it further than it
+# moves a run's own values: the rows are pinned at rel 1e-8 and the estimate,
+# the distance between two close cfm4 runs, at rel 1e-6.
+GOLDEN_CONVERGE = (
+    [(8, 0.0029911854331129018, None),
+     (16, 0.00075058824296746088, 1.9946237530020401),
+     (32, 0.00018731250995523722, 2.0025744369611544),
+     (64, 4.6285977139671045e-05, 2.0168001714021657)],
+    1.089863477518063e-05,
+)
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUN))
 def test_run_golden(name, tmp_path):
@@ -115,3 +131,18 @@ def test_compare_dirac_golden(name, tmp_path):
     assert [r[0] for r in got] == [r[0] for r in GOLDEN_DIRAC[name]]
     assert [r[1:] for r in got] == [pytest.approx(r[1:], **TOL)
                                     for r in GOLDEN_DIRAC[name]]
+
+
+def test_converge_golden(tmp_path):
+    rows, estimate = GOLDEN_CONVERGE
+    converge_scenario(parse_scenario(bundled_scenario_path("smooth_ramp")), 3,
+                      str(tmp_path))
+    with open(tmp_path / "convergence.csv", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))[1:]
+    assert [int(r[0]) for r in got] == [r[0] for r in rows]
+    assert [(float(r[1]), float(r[2]) if r[2] else None) for r in got] == [
+        (pytest.approx(err, rel=1e-8), None if order is None
+         else pytest.approx(order, rel=1e-8)) for _, err, order in rows]
+    doc = json.loads((tmp_path / "convergence.json").read_text())
+    assert doc == {"reference_scheme": "cfm4", "reference_slices": 16,
+                   "reference_error_estimate": pytest.approx(estimate, rel=1e-6)}
