@@ -159,6 +159,19 @@ class ScaleProfile:
             raise ValueError("time out of range")
         return float(np.interp(t, self.times, self.values))
 
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """S at each time of an array, equal to a call per time."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "constant":
+            return np.full(t.shape, self.eta)
+        if self.kind == "step":
+            return np.where(t <= self.t_on, 1.0, self.eta)
+        if self.kind == "pulse":
+            return np.where((self.t_on < t) & (t < self.t_off), self.eta, 1.0)
+        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
+            raise ValueError("time out of range")
+        return np.interp(t, self.times, self.values)
+
     def discontinuities(self) -> list[float]:
         if self.kind == "step":
             return [self.t_on]
@@ -233,7 +246,7 @@ class PotentialSpec:
                 raise ValueError("tabulated potential requires the sampled x grid")
             out = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
         else:  # a harmonic potential's profile is the constant 1
-            s = np.array([self.profile(u) for u in t]) if np.ndim(t) else self.profile(t)
+            s = self.profile.at(t) if np.ndim(t) else self.profile(t)
             out = np.multiply.outer(0.5 * s * self.k, x**2)
         if not np.all(np.isfinite(out)):
             raise ValueError("potential evaluated to a non-finite value")

@@ -621,6 +621,77 @@ def _coefficient_rows(reports) -> Iterator[tuple]:
             yield r.slice_index, k, re, im, abs(z) ** 2
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _one_blas_thread() -> None:
+    """Cap every OpenBLAS loaded in this process at one thread.  A pool
+    worker has a CPU to itself, and OpenBLAS's helper threads would spin on
+    the other workers' CPUs: on 2 cores `converge smooth_ramp --doublings 5`
+    took 9-10 s with them and 1.7 s without.  The libraries are found among
+    the mapped files, so this does nothing without /proc/self/maps."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return
+    paths = {f[5].strip() for f in fields
+             if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+
+
+def _evolve_job(config: ScenarioConfig, psi0: WaveFunction, n_slices: int,
+                scheme: str) -> tuple[np.ndarray, dict[str, int]]:
+    """One run of `converge`: the final amplitudes and the run's eigensolve
+    counts.  Module-level, so that a worker process can run it."""
+    schedule = build_schedule(config.t0, config.t1, n_slices,
+                              config.hamiltonian.potential.profile)
+    result = evolve(psi0, config.hamiltonian, schedule, config.truncation, scheme=scheme)
+    return result.final_state.amplitudes, result.eigensolves
+
+
+def _run_jobs(config: ScenarioConfig, psi0: WaveFunction,
+             jobs: list[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int]]]:
+    """`_evolve_job` of each (slices, scheme) job, in job order, on up to
+    min(jobs, CPUs) forked workers, or here where fork is unavailable or
+    one worker would do.  Jobs are submitted by descending factor count:
+    longest processing time first keeps the workers' loads close.  A
+    worker's exception re-raises here with its own type, and a broken pool
+    raises BrokenProcessPool, a RuntimeError."""
+    import multiprocessing
+
+    workers = min(len(jobs), _available_cpus())
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_evolve_job(config, psi0, *job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    def factors(i: int) -> int:
+        n_slices, scheme = jobs[i]
+        return 2 * n_slices if scheme == "cfm4" else n_slices
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
+        futures = {i: pool.submit(_evolve_job, config, psi0, *jobs[i])
+                   for i in sorted(range(len(jobs)), key=factors, reverse=True)}
+        try:
+            return [futures[i].result() for i in range(len(jobs))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def converge_scenario(config: ScenarioConfig, doublings: int,
                       out_dir: str | None = None) -> list[tuple[int, float]]:
     """Run the scenario at slices x {1, 2, 4, ..., 2**doublings} and report
@@ -632,10 +703,17 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     finest rung's slices (never fewer than `config.slices`, since
     doublings >= 2); both schemes converge to the same limit, so the rungs'
     errors are not biased by sharing the reference's own error.
-    convergence.json records the reference's scheme, its slice count and
+    convergence.json records the reference's scheme, its slice count,
     `reference_error_estimate`: the L2 distance from the reference to a
-    cfm4 run at half its slices (null for a one-slice reference).  That is
-    an estimate of the reference's error, not a bound.
+    cfm4 run at half its slices (null for a one-slice reference), which is
+    an estimate of the reference's error, not a bound; and `eigensolves`,
+    each run's eigensolve counts (reference, estimate, then the rungs).
+
+    No run reads another's result, so the runs go on up to
+    min(runs, CPUs) forked worker processes, the most factors first (a
+    cfm4 slice is two).  Each run is deterministic and everything else is
+    computed here in ladder order, so the files are identical to a serial
+    run's.
     """
     if doublings < 2:
         raise ScenarioError(["converge requires doublings >= 2"])
@@ -644,23 +722,21 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
         psi0 = _initial_state(config)
         ladder = [config.slices * 2**i for i in range(doublings + 1)]
         ref_slices = ladder[-1] // 4
-
-        def final_state(n_slices: int, scheme: str = "average") -> np.ndarray:
-            schedule = build_schedule(config.t0, config.t1, n_slices,
-                                      config.hamiltonian.potential.profile)
-            return evolve(psi0, config.hamiltonian, schedule, config.truncation,
-                          scheme=scheme).final_state.amplitudes
+        jobs = [(ref_slices, "cfm4")]
+        if ref_slices > 1:
+            jobs.append((ref_slices // 2, "cfm4"))
+        jobs += [(n_slices, "average") for n_slices in ladder]
+        runs = _run_jobs(config, psi0, jobs)
 
         def distance(a: np.ndarray, b: np.ndarray) -> float:
             return math.sqrt(norm_squared(WaveFunction(config.grid, a - b)))
 
-        ref = final_state(ref_slices, "cfm4")
-        ref_estimate = (distance(ref, final_state(ref_slices // 2, "cfm4"))
-                        if ref_slices > 1 else None)
+        ref = runs[0][0]
+        ref_estimate = distance(ref, runs[1][0]) if ref_slices > 1 else None
         rows = []
         errors = []
-        for n_slices in ladder:
-            err = distance(final_state(n_slices), ref)
+        for n_slices, (final, _) in zip(ladder, runs[-len(ladder):]):
+            err = distance(final, ref)
             errors.append(err)
             if len(errors) == 1:
                 order = ""
@@ -674,7 +750,10 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
         with create("convergence.json") as fh:
             _write_json(fh, {"reference_scheme": "cfm4",
                              "reference_slices": ref_slices,
-                             "reference_error_estimate": ref_estimate})
+                             "reference_error_estimate": ref_estimate,
+                             "eigensolves": [
+                                 {"scheme": scheme, "slices": n_slices, "counts": counts}
+                                 for (n_slices, scheme), (_, counts) in zip(jobs, runs)]})
         return [(n, e) for n, e in zip(ladder, errors)]
 
 

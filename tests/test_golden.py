@@ -145,4 +145,12 @@ def test_converge_golden(tmp_path):
          else pytest.approx(order, rel=1e-8)) for _, err, order in rows]
     doc = json.loads((tmp_path / "convergence.json").read_text())
     assert doc == {"reference_scheme": "cfm4", "reference_slices": 16,
-                   "reference_error_estimate": pytest.approx(estimate, rel=1e-6)}
+                   "reference_error_estimate": pytest.approx(estimate, rel=1e-6),
+                   "eigensolves": [
+                       {"scheme": scheme, "slices": slices,
+                        "counts": {"reused": 0, "refined": refined, "lapack": lapack,
+                                   "fallbacks": fallbacks}}
+                       for scheme, slices, refined, lapack, fallbacks in [
+                           ("cfm4", 16, 31, 1, 0), ("cfm4", 8, 15, 1, 0),
+                           ("average", 8, 5, 3, 2), ("average", 16, 15, 1, 0),
+                           ("average", 32, 31, 1, 0), ("average", 64, 63, 1, 0)]]}

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import math
+import multiprocessing
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -665,34 +667,28 @@ class TestConverge:
         assert doc["reference_error_estimate"] == pytest.approx(
             distance(ref, final(cfg.slices // 2, "cfm4")), rel=1e-12)
 
-    def test_smooth_ramp_eigensolve_counts(self, tmp_path, monkeypatch):
-        # every evolve of `converge smooth_ramp --doublings 4`: the warm start
-        # is rejected twice on the 8-slice rung and nowhere else, and no
-        # factor has its predecessor's matrix, since V changes on every slice
-        counts = []
-
-        def counted(*args, **kwargs):
-            result = evolve(*args, **kwargs)
-            counts.append((args[2].slices, kwargs.get("scheme", "average"),
-                           result.eigensolves))
-            return result
-
-        monkeypatch.setattr(scenario_mod, "evolve", counted)
+    def test_smooth_ramp_eigensolve_counts(self, tmp_path):
+        # every run of `converge smooth_ramp --doublings 4`, in job order: the
+        # warm start is rejected twice on the 8-slice rung and nowhere else,
+        # and no factor has its predecessor's matrix, since V changes on
+        # every slice
         cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
         converge_scenario(cfg, 4, str(tmp_path / "out"))
+        doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
 
-        def solves(refined, lapack, reused=0, fallbacks=0):
-            return {"refined": refined, "lapack": lapack, "reused": reused,
-                    "fallbacks": fallbacks}
+        def run(slices, scheme, refined, lapack, reused=0, fallbacks=0):
+            return {"scheme": scheme, "slices": slices,
+                    "counts": {"reused": reused, "refined": refined, "lapack": lapack,
+                               "fallbacks": fallbacks}}
 
-        assert counts == [
-            (32, "cfm4", solves(63, 1)),
-            (16, "cfm4", solves(31, 1)),
-            (8, "average", solves(5, 3, fallbacks=2)),
-            (16, "average", solves(15, 1)),
-            (32, "average", solves(31, 1)),
-            (64, "average", solves(63, 1)),
-            (128, "average", solves(127, 1)),
+        assert doc["eigensolves"] == [
+            run(32, "cfm4", 63, 1),
+            run(16, "cfm4", 31, 1),
+            run(8, "average", 5, 3, fallbacks=2),
+            run(16, "average", 15, 1),
+            run(32, "average", 31, 1),
+            run(64, "average", 63, 1),
+            run(128, "average", 127, 1),
         ]
 
     def test_one_slice_reference_has_no_error_estimate(self, tmp_path):
@@ -700,8 +696,59 @@ class TestConverge:
         cfg = parse_scenario(write_scenario(tmp_path, doc))
         converge_scenario(cfg, 2, str(tmp_path / "out"))
         doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
+        # after the quench V is constant, so every slice reuses one basis
         assert doc == {"reference_scheme": "cfm4", "reference_slices": 1,
-                       "reference_error_estimate": None}
+                       "reference_error_estimate": None,
+                       "eigensolves": [
+                           {"scheme": scheme, "slices": slices,
+                            "counts": {"reused": slices * factors - 1, "refined": 0,
+                                       "lapack": 1, "fallbacks": 0}}
+                           for scheme, slices, factors in [
+                               ("cfm4", 1, 2), ("average", 1, 1), ("average", 2, 1),
+                               ("average", 4, 1)]]}
+
+    def test_worker_failure_is_an_engine_failure(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("in a worker" if os.getpid() != parent else "in the parent")
+
+        monkeypatch.setattr(scenario_mod, "evolve", failing)
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        path = write_scenario(tmp_path, quench_doc(points=256, truncation=24))
+        out = tmp_path / "out"
+        assert cli_main(["converge", path, "--doublings", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\nengine failure: in a worker\n") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_path_writes_the_pool_path_files(self, tmp_path, monkeypatch):
+        # a run that goes through `evolve` in this process is recorded here;
+        # one on a forked worker is not
+        pids = []
+
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_mod, "evolve", recorded)
+        doc = quench_doc(points=256, truncation=24, slices=2)
+        ts = [0.25 * i for i in range(9)]
+        doc["potential"]["scale"] = {"kind": "sampled", "times": ts,
+                                     "values": [1 + 0.5 * math.sin(0.5 * math.pi * t) ** 2
+                                                for t in ts]}
+        cfg = parse_scenario(write_scenario(tmp_path, doc))
+        files = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            converge_scenario(cfg, 2, str(out))
+            files.append([(out / f).read_bytes()
+                          for f in ("convergence.csv", "convergence.json")])
+        # reference, estimate and three rungs, all run here when one CPU is free
+        assert pids == [os.getpid()] * 5
+        assert files[0] == files[1]
 
 
 class TestCompareDirac:
