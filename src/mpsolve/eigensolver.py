@@ -5,12 +5,19 @@ The kinetic term uses the standard 3-point stencil on the uniform grid, so
 the matrix is real symmetric tridiagonal.  Wavefunctions are implicitly zero
 outside the box (hard walls).
 
-The lowest eigenpairs come from LAPACK (`eigh_tridiagonal`), or, when the
-caller passes the eigenpairs of a nearby matrix, from shifted inverse
-iteration and Rayleigh-Ritz started there (Parlett, The Symmetric
-Eigenvalue Problem, SIAM 1998).  A refined basis is kept only if its
-residual, orthonormality and a Sturm count pass; otherwise the LAPACK
-result is returned unchanged.
+A partial basis (truncation < N) comes from one of two paths (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998).  When the caller passes the
+eigenpairs of a nearby matrix, shifted inverse iteration and Rayleigh-Ritz
+start there (`_refine`).  Without a usable guess, the cold path (`_cold`)
+bisects (LAPACK `dstebz`) only to _BISECTION_TOL = 1e-8 times ||H||,
+computes the vectors at those shifts by inverse iteration (`dstein`) and
+takes one Rayleigh-Ritz step, which rotates them and supplies the
+energies.  The tolerance is no coarser because inverse iteration must
+still converge from those shifts: at 1e-6 the residual of an N=512 basis
+is 5e-11 ||H||, which fails the residual guard.  Either basis is kept only
+if its residual, orthonormality and a Sturm count pass.  If a guard fails
+or `dstein` does not converge, and for a full basis, `eigh_tridiagonal`
+(bisection to full accuracy, then `dstein`) serves.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .core import Grid, HamiltonianSpec, WaveFunction
 
@@ -28,15 +35,17 @@ __all__ = ["SymTridiagonal", "EigenBasis", "discretize", "eigendecompose", "resi
 # first eigenvector component larger than this fixes the overall sign
 _SIGN_THRESHOLD = 1e-8
 
-# Warm-start guards.  Relative to ||H||: the largest residual of a unit
-# eigenvector (LAPACK's own is about 2e-13 at ||H|| = 1e3), and how far
-# above the highest refined eigenvalue the Sturm count is taken, well above
-# that residual and well below the level spacing.
+# Guards on a refined or cold partial basis.  Relative to ||H||: the largest
+# residual of a unit eigenvector (LAPACK's own is about 2e-13 at
+# ||H|| = 1e3), and how far above the highest eigenvalue the Sturm count is
+# taken, well above that residual and well below the level spacing.
 _RESIDUAL_TOL = 64 * np.finfo(float).eps
 _STURM_MARGIN = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 # refinement sweeps; one more runs only if the residual guard fails
 _SWEEPS = 2
+# cold-path bisection tolerance, relative to ||H|| (see the module docstring)
+_BISECTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,10 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
     `guess`, the eigenpairs of a nearby matrix with the same truncation, is
     refined when truncation < N (see `_refine`).  The basis records how it
     was obtained in `origin`: "refined", "fallback" (the refinement failed a
-    guard or the guess has the wrong shape; the LAPACK result, bit-identical
-    to a call without guess) or "lapack" (no guess, or the full basis).
+    guard or the guess has the wrong shape; the cold result, bit-identical
+    to a call without guess) or "lapack" (no guess, or the full basis).  A
+    cold partial basis comes from `_cold`, or from `eigh_tridiagonal` when
+    `_cold` fails.
     """
     if grid.points != m.size:
         raise ValueError("grid does not match matrix dimension")
@@ -137,11 +148,15 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     origin = "lapack"
-    if guess is not None and truncation < n:
-        refined = _refine(m, grid, guess, truncation)
-        if refined is not None:
-            return refined
-        origin = "fallback"
+    if truncation < n:
+        if guess is not None:
+            refined = _refine(m, grid, guess, truncation)
+            if refined is not None:
+                return refined
+            origin = "fallback"
+        cold = _cold(m, grid, truncation, origin)
+        if cold is not None:
+            return cold
     try:
         if truncation == n:
             energies, vectors = eigh_tridiagonal(m.diagonal, m.off_diagonal)
@@ -212,12 +227,54 @@ def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
             break
     else:
         return None
-    gram = grid.dx * (basis.vectors.T @ basis.vectors)
-    if np.abs(gram - np.eye(truncation)).max() > _ORTHONORMAL_TOL:
+    return basis if _orthonormal_and_lowest(m, basis, h_norm) else None
+
+
+def _cold(m: SymTridiagonal, grid: Grid, truncation: int,
+          origin: str) -> EigenBasis | None:
+    """Lowest `truncation` eigenpairs of m without a guess, or None.
+
+    `dstebz` brackets the eigenvalues to _BISECTION_TOL * ||H||, `dstein`
+    computes unit vectors Z at those shifts, and the Rayleigh-Ritz step
+    eigh(Z^T H Z) = Q diag(theta) Q^T gives the pairs (theta, Z Q).  The
+    residual (H Z) Q - Z Q diag(theta) reuses H Z.  The basis is kept under
+    the same guards as `_refine`'s.
+    """
+    h_norm = _norm_bound(m)
+    d, e = m.diagonal, m.off_diagonal
+    count, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, truncation,
+                                          _BISECTION_TOL * h_norm, "B")
+    if info != 0 or count != truncation:
         return None
-    if _count_below(m, theta[-1] + _STURM_MARGIN * h_norm) != truncation:
+    z, info = dstein(d, e, w[:count], block, split)
+    if info != 0 or not np.all(np.isfinite(z)):
         return None
-    return basis
+    hz = m.matvec(z)
+    ritz = z.T @ hz
+    theta, q = np.linalg.eigh(0.5 * (ritz + ritz.T))
+    # Z Q as (Q^T Z^T)^T keeps dstein's Fortran order, along which _finish
+    # reduces each column without a copy; with each N x M array rebound as
+    # soon as it is replaced, at most three are alive, as on the
+    # eigh_tridiagonal path
+    z = (q.T @ z.T).T
+    hz = (q.T @ hz.T).T
+    hz -= z * theta
+    if np.einsum("ij,ij->j", hz, hz).max() > (_RESIDUAL_TOL * h_norm) ** 2:
+        return None
+    del hz
+    basis = _finish(theta, z, grid, origin)
+    return basis if _orthonormal_and_lowest(m, basis, h_norm) else None
+
+
+def _orthonormal_and_lowest(m: SymTridiagonal, basis: EigenBasis, h_norm: float) -> bool:
+    """Whether a basis passes the guards `_refine` and `_cold` share: its
+    vectors are orthonormal to _ORTHONORMAL_TOL, and exactly
+    `basis.truncation` eigenvalues of m lie below its highest energy plus
+    _STURM_MARGIN * ||H||."""
+    gram = basis.source_grid.dx * (basis.vectors.T @ basis.vectors)
+    if np.abs(gram - np.eye(basis.truncation)).max() > _ORTHONORMAL_TOL:
+        return False
+    return _count_below(m, basis.energies[-1] + _STURM_MARGIN * h_norm) == basis.truncation
 
 
 def _norm_bound(m: SymTridiagonal) -> float:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstein
 
 from mpsolve import (
     EigenBasis,
@@ -15,7 +16,8 @@ from mpsolve import (
     inner_product,
     residual,
 )
-from mpsolve.eigensolver import _count_below, _finish, _shifted_solve
+from mpsolve import eigensolver
+from mpsolve.eigensolver import _count_below, _finish, _norm_bound, _shifted_solve
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -270,6 +272,84 @@ class TestWarmStart:
         assert warm.origin == "refined"
         assert np.array_equal(guess.vectors, vectors)
         assert np.array_equal(guess.energies, energies)
+
+
+def sturm_bisection_longdouble(matrix, count):
+    """Lowest `count` eigenvalues of a double-precision matrix, bisected in
+    numpy longdouble from its Gershgorin interval: the reference for the
+    solver's accuracy.  The Sturm count of shift s is the number of negative
+    pivots q_i = (d_i - s) - e_{i-1}^2 / q_{i-1}, for every shift at once."""
+    d = matrix.diagonal.astype(np.longdouble)
+    e2 = matrix.off_diagonal.astype(np.longdouble) ** 2
+    h_norm = np.longdouble(_norm_bound(matrix))
+    tiny = np.finfo(np.longdouble).tiny
+    index = np.arange(count)
+    lo = np.full(count, -h_norm - 1)
+    hi = np.full(count, h_norm + 1)
+    while np.any(hi - lo > 8 * np.finfo(np.longdouble).eps * h_norm):
+        mid = 0.5 * (lo + hi)
+        q = d[0] - mid
+        below = (q < 0).astype(int)
+        for i in range(1, d.size):
+            q = (d[i] - mid) - e2[i - 1] / np.where(q == 0, -tiny, q)
+            below += q < 0
+        lo, hi = np.where(below > index, lo, mid), np.where(below > index, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+class TestColdSolve:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="longdouble is no more precise than double here")
+    @pytest.mark.parametrize("k", [1.0, 0.25], ids=["harmonic", "eta025"])
+    def test_energies_match_longdouble_bisection(self, k):
+        # eigh_tridiagonal's bisection to full accuracy is 2.7e-13 (harmonic)
+        # and 3.4e-13 (eta025) off; Rayleigh-Ritz gets within 7.3e-14 and 4.7e-14
+        matrix = harmonic_matrix(k, GRID)
+        basis = eigendecompose(matrix, GRID, 64)
+        reference = sturm_bisection_longdouble(matrix, 64)
+        assert np.abs(basis.energies - reference).max() <= 1e-13
+
+    @pytest.mark.parametrize("failure", ["dstein", "residual"])
+    def test_failure_falls_back_to_eigh_tridiagonal_bit_identically(self, failure,
+                                                                    monkeypatch):
+        g = Grid(-12.0, 12.0, 512)
+        matrix = harmonic_matrix(1.0, g)
+        lapack = _finish(*eigh_tridiagonal(matrix.diagonal, matrix.off_diagonal,
+                                           select="i", select_range=(0, 47)), g, "lapack")
+        assert not np.array_equal(eigendecompose(matrix, g, 48).vectors, lapack.vectors)
+        if failure == "dstein":
+            monkeypatch.setattr(eigensolver, "dstein",
+                                lambda *args: (dstein(*args)[0], 1))  # 1 did not converge
+        else:
+            # shifts this coarse leave a residual of 5e-11 ||H||
+            monkeypatch.setattr(eigensolver, "_BISECTION_TOL", 1e-6)
+        basis = eigendecompose(matrix, g, 48)
+        assert basis.origin == "lapack"
+        assert np.array_equal(basis.energies, lapack.energies)
+        assert np.array_equal(basis.vectors, lapack.vectors)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+           integer=st.booleans(), split=st.floats(0.0, 0.5), m=st.integers(1, 39))
+    def test_matches_eigh_tridiagonal(self, n, seed, integer, split, m):
+        # integer entries and zero off-diagonals give exactly degenerate
+        # spectra; whichever path serves, the pairs are the lowest m
+        rng = np.random.default_rng(seed)
+        if integer:
+            d = rng.integers(-3, 4, size=n).astype(float)
+            e = rng.integers(-2, 3, size=n - 1).astype(float)
+        else:
+            d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            e = rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 3)
+        e[rng.random(n - 1) < split] = 0.0
+        matrix, g, m = SymTridiagonal(d, e), Grid(0.0, 1.0, n), min(m, n - 1)
+        basis = eigendecompose(matrix, g, m)
+        expected = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                    select_range=(0, m - 1))
+        assert (np.abs(basis.energies - expected).max()
+                <= 64 * np.finfo(float).eps * _norm_bound(matrix))
+        gram = g.dx * (basis.vectors.T @ basis.vectors)
+        assert np.abs(gram - np.eye(m)).max() <= 1e-12
 
 
 class TestResidual:

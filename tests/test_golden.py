@@ -47,13 +47,13 @@ GOLDEN_RUN = {
          (-6.26103641260504e-16, 3.6336544310892396e-15)]),
     "pulse_eta4": (
         2.4998623957750365, 1.0000000000000013, -3.1409034798980464,
-        [(0.9709792763101505, 0.0004197599223896442),
+        [(0.9709792763101505, 0.00041975992096737253),
          (2.5823614433696913e-14, 1.2710544698789427e-16),
          (0.2288662859640069, 0.0012863860456158816),
          (2.5066268174283995e-15, 7.216855337547691e-17)]),
     "pulse_eta081": (
-        0.9049721356163795, 1.0000000000000036, 0.6980893210660212,
-        [(0.999306671914843, 0.00019439533569834863),
+        0.9049721356163795, 1.0000000000000036, 0.6980893210695267,
+        [(0.999306671914843, 0.0001943953402299537),
          (1.7752506809749248e-14, 9.457864718610896e-17),
          (-0.03719213431322155, -9.406004808696833e-05),
          (-3.5793725650321926e-15, -5.870722880206888e-17)]),
@@ -81,12 +81,12 @@ GOLDEN_RUN = {
 #       abs_b_first_order, diff_mp_rk4, diff_mp_fo, diff_rk4_fo)
 GOLDEN_DIRAC = {
     "quench_eta025": [
-        (2, 0.294008378256099, 5.166970081256043e+42, 0.26213036203219264,
-         5.166970081256043e+42, 0.03187801622390618, 5.166970081256043e+42),
-        (4, 0.11179286073633606, 3.102273781418162e+43, 4.661727824285671e-06,
-         3.102273781418162e+43, 0.11178819900851145, 3.102273781418162e+43),
-        (6, 0.04485260734808276, 1.1183640366948367e+44, 1.3458713600958687e-09,
-         1.1183640366948367e+44, 0.04485260600221122, 1.1183640366948367e+44),
+        (2, 0.2940083782571283, 5.166970081241115e+42, 0.26213036203219264,
+         5.166970081241115e+42, 0.03187801622520303, 5.166970081241115e+42),
+        (4, 0.11179286073633606, 3.102273781409111e+43, 4.661727824285671e-06,
+         3.102273781409111e+43, 0.11178819900851145, 3.102273781409111e+43),
+        (6, 0.04485260734808276, 1.1183640366914652e+44, 1.3458713600958687e-09,
+         1.1183640366914652e+44, 0.04485260600221122, 1.1183640366914652e+44),
     ],
     "dirac_weak": [
         (2, 0.000297431712017702, 0.00029727256850708007, 0.00029748495533426464,
