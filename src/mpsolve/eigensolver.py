@@ -16,17 +16,26 @@ energies.  The tolerance is no coarser because inverse iteration must
 still converge from those shifts: at 1e-6 the residual of an N=512 basis
 is 5e-11 ||H||, which fails the residual guard.  Either basis is kept only
 if its residual, orthonormality and a Sturm count pass.  If a guard fails
-or `dstein` does not converge, and for a full basis, `eigh_tridiagonal`
-(bisection to full accuracy, then `dstein`) serves.
+or `dstein` does not converge, full-accuracy `dstebz` bisection and then
+`dstein` serve; a full basis comes from `dstevd`.  These are the calls scipy's
+`eigh_tridiagonal` makes, so the results are bit-identical to it.
+
+The LAPACK routines come from scipy's compiled module
+`scipy.linalg._flapack`, loaded from its file at import time.  Importing
+the `scipy.linalg` package would also load numpy.f2py, numpy.testing and
+more through its array-API layer, which more than doubles the start-up
+time of every command.  Where the direct load fails, the same functions
+come from `scipy.linalg.lapack`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .core import Grid, HamiltonianSpec, WaveFunction
 
@@ -46,6 +55,41 @@ _ORTHONORMAL_TOL = 1e-12
 _SWEEPS = 2
 # cold-path bisection tolerance, relative to ||H|| (see the module docstring)
 _BISECTION_TOL = 1e-8
+
+_LAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's LAPACK extension module, loaded from its file under its own
+    name.  That registers it in sys.modules, so `scipy.linalg`, if imported
+    later, takes this module and exports the same function objects.  Raises
+    ImportError if the file is not where scipy keeps it."""
+    spec = importlib.util.find_spec("scipy")  # imports neither scipy nor scipy.linalg
+    folders = spec.submodule_search_locations if spec is not None else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_LAPACK, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(_LAPACK, path, loader=loader))
+                loader.exec_module(module)
+                return module
+    raise ImportError("no file for %s" % _LAPACK)
+
+
+def _lapack_routines(*names: str) -> list:
+    """The named double-precision LAPACK wrappers: the very objects
+    `scipy.linalg.lapack` exports, from the directly loaded module or, where
+    that load fails, from `scipy.linalg.lapack` itself."""
+    try:
+        module = _load_flapack()
+    except ImportError:
+        from scipy.linalg import lapack as module
+    return [getattr(module, name) for name in names]
+
+
+dgtsv, dstebz, dstein, dstevd = _lapack_routines("dgtsv", "dstebz", "dstein", "dstevd")
 
 
 @dataclass(frozen=True)
@@ -137,8 +181,8 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
     was obtained in `origin`: "refined", "fallback" (the refinement failed a
     guard or the guess has the wrong shape; the cold result, bit-identical
     to a call without guess) or "lapack" (no guess, or the full basis).  A
-    cold partial basis comes from `_cold`, or from `eigh_tridiagonal` when
-    `_cold` fails.
+    cold partial basis comes from `_cold`, or where that fails from
+    bisection to full accuracy and `dstein`; the full basis from `dstevd`.
     """
     if grid.points != m.size:
         raise ValueError("grid does not match matrix dimension")
@@ -148,7 +192,11 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     origin = "lapack"
-    if truncation < n:
+    if truncation == n:
+        energies, vectors, info = dstevd(m.diagonal, m.off_diagonal, compute_v=1)
+        if info != 0:
+            vectors = None
+    else:
         if guess is not None:
             refined = _refine(m, grid, guess, truncation)
             if refined is not None:
@@ -157,15 +205,12 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
         cold = _cold(m, grid, truncation, origin)
         if cold is not None:
             return cold
-    try:
-        if truncation == n:
-            energies, vectors = eigh_tridiagonal(m.diagonal, m.off_diagonal)
-        else:
-            energies, vectors = eigh_tridiagonal(
-                m.diagonal, m.off_diagonal,
-                select="i", select_range=(0, truncation - 1))
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise RuntimeError("eigensolver did not converge") from exc
+        energies, vectors = _bisect_and_invert(m, truncation, 0.0)
+        if vectors is not None:
+            order = np.argsort(energies)
+            energies, vectors = energies[order], vectors[:, order]
+    if vectors is None:  # pragma: no cover - LAPACK failure is exotic
+        raise RuntimeError("eigensolver did not converge")
     return _finish(energies, vectors, grid, origin)
 
 
@@ -241,13 +286,8 @@ def _cold(m: SymTridiagonal, grid: Grid, truncation: int,
     the same guards as `_refine`'s.
     """
     h_norm = _norm_bound(m)
-    d, e = m.diagonal, m.off_diagonal
-    count, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, truncation,
-                                          _BISECTION_TOL * h_norm, "B")
-    if info != 0 or count != truncation:
-        return None
-    z, info = dstein(d, e, w[:count], block, split)
-    if info != 0 or not np.all(np.isfinite(z)):
+    _, z = _bisect_and_invert(m, truncation, _BISECTION_TOL * h_norm)
+    if z is None or not np.all(np.isfinite(z)):
         return None
     hz = m.matvec(z)
     ritz = z.T @ hz
@@ -255,7 +295,7 @@ def _cold(m: SymTridiagonal, grid: Grid, truncation: int,
     # Z Q as (Q^T Z^T)^T keeps dstein's Fortran order, along which _finish
     # reduces each column without a copy; with each N x M array rebound as
     # soon as it is replaced, at most three are alive, as on the
-    # eigh_tridiagonal path
+    # full-accuracy path
     z = (q.T @ z.T).T
     hz = (q.T @ hz.T).T
     hz -= z * theta
@@ -264,6 +304,21 @@ def _cold(m: SymTridiagonal, grid: Grid, truncation: int,
     del hz
     basis = _finish(theta, z, grid, origin)
     return basis if _orthonormal_and_lowest(m, basis, h_norm) else None
+
+
+def _bisect_and_invert(m: SymTridiagonal, truncation: int,
+                       tol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The lowest `truncation` eigenvalues of m, bisected by `dstebz` to the
+    absolute tolerance `tol` (0: full accuracy) in block order, and unit
+    eigenvectors at them by `dstein`, or None for the vectors if either
+    routine fails."""
+    d, e = m.diagonal, m.off_diagonal
+    count, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, 1, truncation, tol, "B")
+    w = w[:count]
+    if info != 0 or count != truncation:
+        return w, None
+    z, info = dstein(d, e, w, block, split)
+    return w, (z if info == 0 else None)
 
 
 def _orthonormal_and_lowest(m: SymTridiagonal, basis: EigenBasis, h_norm: float) -> bool:

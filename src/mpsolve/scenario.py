@@ -613,12 +613,23 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         return summary
 
 
-def _coefficient_rows(reports) -> Iterator[tuple]:
-    """(slice, k, re, im, |C_k|^2) per retained state of every report."""
-    for r in reports:
-        c = r.coefficients
-        for k, (re, im, z) in enumerate(zip(c.real.tolist(), c.imag.tolist(), c.tolist())):
-            yield r.slice_index, k, re, im, abs(z) ** 2
+def _coefficient_rows(reports: Sequence) -> Iterator[tuple]:
+    """(slice, k, re, im, |C_k|^2) per retained state of every report, built
+    from numpy columns about _CSV_BLOCK rows at a time.  |C_k| is np.hypot,
+    bit-identical to abs() of a Python complex where np.abs is not, and it
+    is squared by Python, whose ** 2 numpy's square misses by an ulp in
+    about 0.1% of cases."""
+    if not reports:
+        return
+    states = reports[0].coefficients.size
+    per_block = max(1, _CSV_BLOCK // states)
+    for start in range(0, len(reports), per_block):
+        block = reports[start:start + per_block]
+        c = np.stack([r.coefficients for r in block])
+        slices = np.repeat([r.slice_index for r in block], states).tolist()
+        ks = np.tile(np.arange(states), len(block)).tolist()
+        abs2 = [x ** 2 for x in np.hypot(c.real, c.imag).ravel().tolist()]
+        yield from zip(slices, ks, c.real.ravel().tolist(), c.imag.ravel().tolist(), abs2)
 
 
 def _available_cpus() -> int:

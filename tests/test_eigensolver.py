@@ -1,8 +1,11 @@
+import importlib.machinery
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import lapack as scipy_lapack
 from scipy.linalg.lapack import dgtsv, dstein
 
 from mpsolve import (
@@ -274,6 +277,23 @@ class TestWarmStart:
         assert np.array_equal(guess.energies, energies)
 
 
+def _bit_matrices() -> dict:
+    """The matrices the fallback must solve bit-identically to scipy: the
+    N=512 harmonic one, a random one, and an integer-entry one whose zero
+    off-diagonals split it into blocks with exactly degenerate eigenvalues."""
+    rng = np.random.default_rng(11)
+    integer_e = rng.integers(-2, 3, size=63).astype(float)
+    integer_e[::9] = 0.0
+    return {
+        "harmonic512": harmonic_matrix(1.0, Grid(-12.0, 12.0, 512)),
+        "random64": SymTridiagonal(rng.normal(size=64), rng.normal(size=63)),
+        "integer64": SymTridiagonal(rng.integers(-3, 4, size=64).astype(float), integer_e),
+    }
+
+
+BIT_MATRICES = _bit_matrices()
+
+
 def sturm_bisection_longdouble(matrix, count):
     """Lowest `count` eigenvalues of a double-precision matrix, bisected in
     numpy longdouble from its Gershgorin interval: the reference for the
@@ -318,8 +338,16 @@ class TestColdSolve:
                                            select="i", select_range=(0, 47)), g, "lapack")
         assert not np.array_equal(eigendecompose(matrix, g, 48).vectors, lapack.vectors)
         if failure == "dstein":
-            monkeypatch.setattr(eigensolver, "dstein",
-                                lambda *args: (dstein(*args)[0], 1))  # 1 did not converge
+            # the cold path's call reports one vector unconverged; the
+            # full-accuracy fallback calls dstein again and must succeed
+            calls = []
+
+            def dstein_failing_once(*args):
+                calls.append(None)
+                z, info = dstein(*args)
+                return z, 1 if len(calls) == 1 else info
+
+            monkeypatch.setattr(eigensolver, "dstein", dstein_failing_once)
         else:
             # shifts this coarse leave a residual of 5e-11 ||H||
             monkeypatch.setattr(eigensolver, "_BISECTION_TOL", 1e-6)
@@ -327,6 +355,27 @@ class TestColdSolve:
         assert basis.origin == "lapack"
         assert np.array_equal(basis.energies, lapack.energies)
         assert np.array_equal(basis.vectors, lapack.vectors)
+        if failure == "dstein":
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", sorted(BIT_MATRICES))
+    @pytest.mark.parametrize("states", ["full", "partial"])
+    def test_bit_identical_to_eigh_tridiagonal(self, name, states, monkeypatch):
+        # the full basis, and the partial one where the cold path fails,
+        # make the LAPACK calls eigh_tridiagonal makes
+        matrix = BIT_MATRICES[name]
+        g = Grid(0.0, 1.0, matrix.size)
+        if states == "full":
+            m, select = None, {}
+        else:
+            m, select = 24, {"select": "i", "select_range": (0, 23)}
+            monkeypatch.setattr(eigensolver, "_cold", lambda *args: None)
+        expected = _finish(*eigh_tridiagonal(matrix.diagonal, matrix.off_diagonal, **select),
+                           g, "lapack")
+        basis = eigendecompose(matrix, g, m)
+        assert basis.origin == "lapack"
+        assert np.array_equal(basis.energies, expected.energies)
+        assert np.array_equal(basis.vectors, expected.vectors)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
@@ -350,6 +399,20 @@ class TestColdSolve:
                 <= 64 * np.finfo(float).eps * _norm_bound(matrix))
         gram = g.dx * (basis.vectors.T @ basis.vectors)
         assert np.abs(gram - np.eye(m)).max() <= 1e-12
+
+
+class TestLapackLoad:
+    @pytest.mark.parametrize("name", ["dgtsv", "dstebz", "dstein", "dstevd"])
+    def test_routines_are_scipys(self, name):
+        assert getattr(eigensolver, name) is getattr(scipy_lapack, name)
+
+    def test_failed_direct_load_falls_back_to_scipy_linalg(self, monkeypatch):
+        # with no extension suffix the lookup finds no file
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        with pytest.raises(ImportError):
+            eigensolver._load_flapack()
+        dstebz, dstevd = eigensolver._lapack_routines("dstebz", "dstevd")
+        assert dstebz is scipy_lapack.dstebz and dstevd is scipy_lapack.dstevd
 
 
 class TestResidual:
