@@ -32,12 +32,11 @@ from .oscillator import (
 from .projection import (
     EvolutionResult,
     ProjectionStepReport,
-    SliceSchedule,
-    build_schedule,
     evolve,
     intermediate_energy,
     project,
     reconstruct,
+    slice_boundaries,
 )
 
 __version__ = "0.1.0"

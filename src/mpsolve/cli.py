@@ -69,14 +69,6 @@ def main(argv: list[str] | None = None) -> int:
             if summary.phase_vs_reference is not None:
                 print("phase vs reference %.6f rad" % summary.phase_vs_reference)
         elif args.command == "converge":
-            if args.doublings < 2:
-                print("converge requires --doublings >= 2", file=sys.stderr)
-                return 1
-            pot = config.hamiltonian.potential
-            # every slice's H is exact only where V is constant between breakpoints
-            if pot.kind != "tabulated" and pot.profile.kind != "sampled":
-                print("warning: convergence trivially flat for a potential "
-                      "that is piecewise constant in time", file=sys.stderr)
             rungs = converge_scenario(config, args.doublings, args.out)
             for n_slices, err in rungs:
                 print("slices %6d  l2 error %.3e" % (n_slices, err))

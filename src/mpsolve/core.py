@@ -185,8 +185,7 @@ class PotentialSpec:
     """Scalar potential V(x, t).
 
     Kinds:
-      harmonic           V = k x^2 / 2
-      scaled_harmonic    V = S(t) k x^2 / 2
+      scaled_harmonic    V = S(t) k x^2 / 2; `harmonic(k)` is S = 1
       tabulated          samples V(x_i, t_j), exact at x nodes, linear in t
     """
 
@@ -198,9 +197,9 @@ class PotentialSpec:
     v_samples: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("harmonic", "scaled_harmonic", "tabulated"):
+        if self.kind not in ("scaled_harmonic", "tabulated"):
             raise ValueError("unknown potential kind %r" % self.kind)
-        if self.kind in ("harmonic", "scaled_harmonic") and not self.k > 0:
+        if self.kind == "scaled_harmonic" and not self.k > 0:
             raise ValueError("spring constant k must be positive")
         if self.kind == "tabulated":
             x = np.asarray(self.x_samples, float)
@@ -216,7 +215,7 @@ class PotentialSpec:
 
     @classmethod
     def harmonic(cls, k: float = 1.0) -> "PotentialSpec":
-        return cls(kind="harmonic", k=k)
+        return cls.scaled_harmonic(k, ScaleProfile.constant())
 
     @classmethod
     def scaled_harmonic(cls, k: float, profile: ScaleProfile) -> "PotentialSpec":
@@ -245,7 +244,7 @@ class PotentialSpec:
             ):
                 raise ValueError("tabulated potential requires the sampled x grid")
             out = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
-        else:  # a harmonic potential's profile is the constant 1
+        else:
             s = self.profile.at(t) if np.ndim(t) else self.profile(t)
             out = np.multiply.outer(0.5 * s * self.k, x**2)
         if not np.all(np.isfinite(out)):

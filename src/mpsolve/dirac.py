@@ -58,7 +58,7 @@ def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
 
     A `scaled_harmonic` potential is (S(t) - S(t0)) k x^2 / 2 apart from
     V(t0), so its one spatial profile is projected onto the basis once (an
-    N x M x M product) and a call only scales an M x M matrix; `harmonic`
+    N x M x M product) and a call only scales an M x M matrix; `harmonic(k)`
     is the case S = 1, whose difference is zero.  A `tabulated` call
     evaluates V(t) - V(t0) on the grid and projects it.
 

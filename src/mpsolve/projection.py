@@ -32,15 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Grid, HamiltonianSpec, ScaleProfile, WaveFunction, gauss_pieces,
+from .core import (Grid, HamiltonianSpec, PotentialSpec, WaveFunction, gauss_pieces,
                    inner_product, norm_squared)
 from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, tridiagonal_hamiltonian
 
 __all__ = [
-    "SliceSchedule",
     "ProjectionStepReport",
     "EvolutionResult",
-    "build_schedule",
+    "slice_boundaries",
     "project",
     "reconstruct",
     "intermediate_energy",
@@ -48,33 +47,6 @@ __all__ = [
 ]
 
 SCHEMES = ("average", "cfm4")
-
-
-@dataclass(frozen=True)
-class SliceSchedule:
-    """Partition of [t0, t1] into slices."""
-
-    boundaries: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=float)
-        if b.ndim != 1 or b.size < 2:
-            raise ValueError("schedule needs at least two boundaries")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("boundaries must be strictly increasing")
-        object.__setattr__(self, "boundaries", b)
-
-    @property
-    def t0(self) -> float:
-        return float(self.boundaries[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.boundaries[-1])
-
-    @property
-    def slices(self) -> int:
-        return self.boundaries.size - 1
 
 
 @dataclass(frozen=True)
@@ -102,20 +74,26 @@ class EvolutionResult:
     eigensolve_s: float = 0.0
 
 
-def build_schedule(t0: float, t1: float, slices: int,
-                   profile: ScaleProfile | None = None) -> SliceSchedule:
-    """Uniform boundaries with every profile discontinuity in (t0, t1)
-    inserted as an extra boundary (no duplicates)."""
+def slice_boundaries(potential: PotentialSpec, t0: float, t1: float,
+                     slices: int) -> np.ndarray:
+    """The boundaries `evolve` cuts [t0, t1] into: `slices` uniform slices,
+    plus every jump of the potential's scale profile strictly inside
+    (t0, t1) that is more than 1e-12 from every boundary already there.  A
+    frozen slice is exact only where V does not jump inside it.  ValueError
+    unless the boundaries strictly increase."""
     if slices < 1:
         raise ValueError("need at least one slice")
     if not t0 < t1:
         raise ValueError("need t0 < t1")
-    bounds = list(np.linspace(t0, t1, slices + 1))
-    if profile is not None:
-        for tc in profile.discontinuities():
-            if t0 < tc < t1 and not any(abs(tc - b) <= 1e-12 for b in bounds):
-                bounds.append(tc)
-    return SliceSchedule(np.array(sorted(bounds)))
+    bounds = np.linspace(t0, t1, slices + 1)
+    for tc in potential.profile.discontinuities():
+        if t0 < tc < t1 and not np.any(np.abs(bounds - tc) <= 1e-12):
+            bounds = np.append(bounds, tc)
+    bounds.sort()
+    if np.any(np.diff(bounds) <= 0):
+        raise ValueError("slice boundaries must be strictly increasing: %d slices "
+                         "do not fit in [%r, %r]" % (slices, t0, t1))
+    return bounds
 
 
 def project(psi: WaveFunction, basis: EigenBasis) -> np.ndarray:
@@ -193,10 +171,12 @@ def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
             (tridiagonal_hamiltonian(h, grid, m0 + d), 0.5)]
 
 
-def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
+def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices: int,
            truncation: int | None = None,
            scheme: str = "average") -> EvolutionResult:
-    """Run the projection cascade over every slice of the schedule.
+    """Run the projection cascade from t0 to t1 over the slices that
+    `slice_boundaries` gives: `slices` uniform ones, cut again at every jump
+    of V.
 
     `scheme` "average" applies each slice as one factor, the Hamiltonian's
     exact time average over the slice; "cfm4" applies it as two half-width
@@ -229,12 +209,12 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
     counts = dict.fromkeys(("reused", "refined", "lapack", "fallbacks"), 0)
     eigensolve_s = 0.0
     reports = []
-    bounds = schedule.boundaries
+    bounds = slice_boundaries(h.potential, t0, t1, slices)
     # V without breakpoints does not depend on t (every kind that does has
     # some), so every slice has the first slice's factors
     static = (_slice_factors(h, grid, bounds[0], bounds[1], scheme)
               if h.potential.breakpoints().size == 0 else None)
-    for j in range(schedule.slices):
+    for j in range(bounds.size - 1):
         refreshed = False
         width = bounds[j + 1] - bounds[j]
         for matrix, share in static or _slice_factors(h, grid, bounds[j], bounds[j + 1],
@@ -274,7 +254,7 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, schedule: SliceSchedule,
             basis_refreshed=refreshed,
         ))
 
-    state = _rebuild(coeffs, basis, schedule.slices - 1)
+    state = _rebuild(coeffs, basis, bounds.size - 2)
     return EvolutionResult(final_state=state, reports=tuple(reports),
                            eigensolves=counts, eigensolve_s=eigensolve_s)
 

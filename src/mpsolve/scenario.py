@@ -15,9 +15,10 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -28,7 +29,7 @@ from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunct
                    inner_product, norm_squared)
 from .eigensolver import (SymTridiagonal, _count_below, discretize, eigendecompose,
                           tridiagonal_hamiltonian)
-from .projection import build_schedule, evolve, project
+from .projection import evolve, project, slice_boundaries
 
 __all__ = [
     "ScenarioConfig",
@@ -46,8 +47,13 @@ DEFAULT_GRID = {"x_min": -12.0, "x_max": 12.0, "points": 1024}
 DEFAULT_UNITS = {"hbar": 1.0, "mass": 1.0}
 DEFAULT_TRUNCATION = 64
 EMIT_CHOICES = ("energy", "coefficients", "summary")
-# most bytes a scenario's retained eigenbasis (grid.points x states doubles) may take
+# most bytes a scenario's retained eigenbasis (grid.points x states doubles) or its
+# RK4 amplitude history may take
 MAX_BASIS_BYTES = 2 * 1024**3
+# most slices one evolution may take, `schedule.slices` and the finest `converge`
+# rung alike: `evolve` holds a report per slice, about 1.4 KB at 64 states, so
+# 2**18 slices hold about 370 MB, and at 1-3 ms per slice they take minutes
+MAX_SLICES = 2**18
 # rows per formatted block in _write_csv
 _CSV_BLOCK = 2048
 
@@ -287,6 +293,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     slices = _num(sched, "slices", "schedule", errors, integer=True)
     if slices is not None and slices < 1:
         errors.append("schedule.slices: must be >= 1")
+    if slices is not None and slices > MAX_SLICES:
+        errors.append("schedule.slices: must be <= %d" % MAX_SLICES)
     if t0 is not None and t1 is not None and not t0 < t1:
         errors.append("schedule: t0 must be < t1")
     # kept so that existing files stay valid and keep their scenario_hash
@@ -306,11 +314,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     # truncation None here is either null (the full basis) or already a violation
     basis_fits = False
     if points is not None and (truncation is not None or basis_cfg.get("truncation") is None):
-        states = min(points, truncation or points)
-        basis_fits = points * states * 8 <= MAX_BASIS_BYTES
-        if not basis_fits:
-            errors.append("basis: a %d x %d eigenbasis takes %d bytes, more than %d"
-                          % (points, states, points * states * 8, MAX_BASIS_BYTES))
+        basis_fits = _fits("basis", "eigenbasis", points, min(points, truncation or points),
+                           8, errors)
 
     init = _section(raw, "initial_state", errors)
     _check_keys(init, {"eigenstate", "amplitude_file"}, "initial_state", errors)
@@ -369,7 +374,14 @@ def parse_scenario(path: str) -> ScenarioConfig:
             _check_keys(dirac_cfg, {"states", "rk4_steps", "targets", "t1"},
                         "dirac", errors)
             states = _num(dirac_cfg, "states", "dirac", errors, integer=True, positive=True)
-            _num(dirac_cfg, "rk4_steps", "dirac", errors, integer=True, positive=True)
+            steps = _num(dirac_cfg, "rk4_steps", "dirac", errors, integer=True, positive=True)
+            if None not in (states, points) and states > points:
+                errors.append("dirac.states: must be <= grid.points")
+            elif None not in (states, points):
+                _fits("dirac.states", "eigenbasis", points, states, 8, errors)
+            if None not in (states, steps):  # integrate_amplitudes keeps every step
+                _fits("dirac.rk4_steps", "RK4 amplitude history", steps + 1, states, 16,
+                      errors)
             if "t1" in dirac_cfg:
                 t_end = _num(dirac_cfg, "t1", "dirac", errors)
                 covered.append(("dirac.t1", t_end))
@@ -387,6 +399,14 @@ def parse_scenario(path: str) -> ScenarioConfig:
                               "give initial_state.eigenstate, not amplitude_file")
             elif eigenstate is not None and states is not None and eigenstate >= states:
                 errors.append("initial_state.eigenstate: must be < dirac.states")
+
+    # the windows evolve runs on: [t0, t1], and [t0, dirac.t1] for compare-dirac
+    for name, t_end in covered[1:]:
+        if None not in (t0, t_end, slices) and t0 < t_end and 1 <= slices <= MAX_SLICES:
+            try:
+                slice_boundaries(potential, t0, t_end, slices)
+            except ValueError as exc:
+                errors.append("schedule: %s" % exc)
 
     if potential.kind == "tabulated" or potential.profile.kind == "sampled":
         knots = potential.breakpoints()
@@ -429,6 +449,17 @@ def parse_scenario(path: str) -> ScenarioConfig:
     )
 
 
+def _fits(where: str, what: str, rows: int, cols: int, itemsize: int,
+          errors: list[str]) -> bool:
+    """Whether a rows x cols array of `itemsize`-byte numbers fits in
+    MAX_BASIS_BYTES; a violation if not."""
+    size = rows * cols * itemsize
+    if size > MAX_BASIS_BYTES:
+        errors.append("%s: a %d x %d %s takes %d bytes, more than %d"
+                      % (where, rows, cols, what, size, MAX_BASIS_BYTES))
+    return size <= MAX_BASIS_BYTES
+
+
 def _wells(h: HamiltonianSpec, grid: Grid,
            t0: float | None) -> list[tuple[SymTridiagonal, float]]:
     """The Hamiltonians that bound a run's resolution, each with its
@@ -438,7 +469,7 @@ def _wells(h: HamiltonianSpec, grid: Grid,
     Above a quarter of the kinetic band 2 hbar^2/(m dx^2) the grid no longer
     resolves a state: the upper states of a coarse grid pair up nearly
     degenerate, and a truncation that cuts such a pair makes projections
-    depend on rounding.  Harmonic kinds are taken once, at the largest
+    depend on rounding.  Scaled-harmonic ones are taken once, at the largest
     scale the profile takes (the stiffest well holds the fewest states);
     tabulated ones at t0 and at every sample time."""
     pot = h.potential
@@ -447,7 +478,7 @@ def _wells(h: HamiltonianSpec, grid: Grid,
         if t0 is not None and times[0] <= t0 <= times[-1]:
             times.append(t0)
         wells = h.potential_on_grid(grid, np.array(times))
-    else:  # a harmonic potential's profile is the constant 1
+    else:
         profile = pot.profile
         if profile.kind == "sampled":
             scale = float(profile.values.max())
@@ -464,25 +495,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(fh: TextIO, header: list[str], rows: Iterable[Sequence]) -> None:
-    """The header line, then one line per row of `rows` (any iterable):
-    floats as %.17g, as `_fmt` gives them, anything else as str().  Rows are
-    formatted _CSV_BLOCK at a time with one %-template per block, so the
+def _write_csv(fh: TextIO, header: list[str], row: str, rows: Iterable[Sequence]) -> None:
+    """The header line, then the %-template `row` filled by each row of
+    `rows` (any iterable), one line per row; floats go through %.17g, as
+    `_fmt` gives them.  Rows are formatted _CSV_BLOCK at a time, so the
     writer's memory does not grow with the row count."""
-    def template(kinds: tuple[type, ...]) -> str:
-        return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
-
     fh.write(",".join(header) + "\n")
     rows = iter(rows)
     while block := list(islice(rows, _CSV_BLOCK)):
-        values = tuple(chain.from_iterable(block))
-        kinds = tuple(map(type, block[0]))
-        if (set(map(len, block)) == {len(kinds)}
-                and tuple(map(type, values)) == kinds * len(block)):
-            fill = template(kinds) * len(block)
-        else:  # rows differ in length or in the types of a column
-            fill = "".join(template(tuple(map(type, row))) for row in block)
-        fh.write(fill % values)
+        fh.write((row + "\n") * len(block) % tuple(chain.from_iterable(block)))
 
 
 def _write_json(fh: TextIO, doc: dict) -> None:
@@ -523,26 +544,21 @@ def _initial_state(config: ScenarioConfig) -> WaveFunction:
 
 
 def _reference_hamiltonian(config: ScenarioConfig) -> HamiltonianSpec:
-    """The Hamiltonian frozen at t0.  A harmonic potential does not depend
-    on t and is returned as it is; a scaled_harmonic one gets the constant
-    profile S(t0).  Validation rejects `reference: true` for a tabulated
-    potential, the only other kind."""
+    """The Hamiltonian frozen at t0: the scaled_harmonic potential with the
+    constant profile S(t0).  Validation rejects `reference: true` for a
+    tabulated potential, the only other kind."""
     pot = config.hamiltonian.potential
-    if pot.kind != "scaled_harmonic":
-        return config.hamiltonian
-    frozen = ScaleProfile.constant(pot.profile(config.t0))
-    return HamiltonianSpec(config.hamiltonian.mass, config.hamiltonian.hbar,
-                           PotentialSpec.scaled_harmonic(pot.k, frozen))
+    frozen = replace(pot, profile=ScaleProfile.constant(pot.profile(config.t0)))
+    return replace(config.hamiltonian, potential=frozen)
 
 
 def _energy_scale(config: ScenarioConfig) -> float:
     """E_0 used for reported energy ratios: the exact hbar omega / 2 of the
-    t0-frozen oscillator for harmonic kinds, the grid ground energy
-    otherwise."""
+    t0-frozen oscillator for a scaled_harmonic potential, the grid ground
+    energy otherwise."""
     h = config.hamiltonian
     pot = h.potential
-    if pot.kind in ("harmonic", "scaled_harmonic"):
-        # a harmonic potential's profile is the constant 1
+    if pot.kind == "scaled_harmonic":
         return 0.5 * h.hbar * math.sqrt(pot.k * pot.profile(config.t0) / h.mass)
     basis = eigendecompose(discretize(h, config.grid, config.t0), config.grid, 1)
     return float(basis.energies[0])
@@ -556,19 +572,17 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
     start = time.perf_counter()
     with _output_files(out) as create:
         psi0 = _initial_state(config)
-        schedule = build_schedule(config.t0, config.t1, config.slices,
-                                  config.hamiltonian.potential.profile)
         tick = time.perf_counter()
-        result = evolve(psi0, config.hamiltonian, schedule, config.truncation)
+        result = evolve(psi0, config.hamiltonian, config.t0, config.t1, config.slices,
+                        config.truncation)
         evolve_s = time.perf_counter() - tick
         eigensolve_s = result.eigensolve_s
 
         phase = None
         if config.reference:
-            schedule = build_schedule(config.t0, config.t1, config.slices)
             tick = time.perf_counter()
-            ref = evolve(psi0, _reference_hamiltonian(config), schedule,
-                         config.truncation)
+            ref = evolve(psi0, _reference_hamiltonian(config), config.t0, config.t1,
+                         config.slices, config.truncation)
             evolve_s += time.perf_counter() - tick
             eigensolve_s += ref.eigensolve_s
             phase = float(np.angle(inner_product(ref.final_state, result.final_state)))
@@ -587,12 +601,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         tick = time.perf_counter()
         if "energy" in config.emit:
             with create("energy.csv") as fh:
-                _write_csv(fh, ["t_end", "energy", "norm"],
+                _write_csv(fh, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
                            ((r.t_end, r.energy, r.norm_squared) for r in result.reports))
         if "coefficients" in config.emit:
             with create("coefficients.csv") as fh:
                 _write_csv(fh, ["slice", "k", "re", "im", "abs2"],
-                           _coefficient_rows(result.reports))
+                           "%d,%d,%.17g,%.17g,%.17g", _coefficient_rows(result.reports))
         if "summary" in config.emit:
             with create("summary.json") as fh:
                 _write_json(fh, {
@@ -667,9 +681,8 @@ def _evolve_job(config: ScenarioConfig, psi0: WaveFunction, n_slices: int,
                 scheme: str) -> tuple[np.ndarray, dict[str, int]]:
     """One run of `converge`: the final amplitudes and the run's eigensolve
     counts.  Module-level, so that a worker process can run it."""
-    schedule = build_schedule(config.t0, config.t1, n_slices,
-                              config.hamiltonian.potential.profile)
-    result = evolve(psi0, config.hamiltonian, schedule, config.truncation, scheme=scheme)
+    result = evolve(psi0, config.hamiltonian, config.t0, config.t1, n_slices,
+                    config.truncation, scheme=scheme)
     return result.final_state.amplitudes, result.eigensolves
 
 
@@ -725,9 +738,17 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     cfm4 slice is two).  Each run is deterministic and everything else is
     computed here in ladder order, so the files are identical to a serial
     run's.
+    `doublings` >= 2 must keep the finest rung within MAX_SLICES; where V is
+    piecewise constant in time, a warning on stderr says every rung is exact.
     """
-    if doublings < 2:
-        raise ScenarioError(["converge requires doublings >= 2"])
+    # a right shift, so that a huge request costs nothing to reject
+    if doublings < 2 or config.slices > MAX_SLICES >> doublings:
+        raise ScenarioError(["converge requires doublings >= 2 and slices x 2**doublings <= %d"
+                             " (here %d x 2**%d)" % (MAX_SLICES, config.slices, doublings)])
+    pot = config.hamiltonian.potential
+    if pot.kind != "tabulated" and pot.profile.kind != "sampled":
+        print("warning: convergence trivially flat for a potential "
+              "that is piecewise constant in time", file=sys.stderr)
     out = out_dir if out_dir is not None else config.out_dir
     with _output_files(out) as create:
         psi0 = _initial_state(config)
@@ -757,7 +778,7 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
                 order = _fmt(math.log2(errors[-2] / err))
             rows.append((n_slices, err, order))
         with create("convergence.csv") as fh:
-            _write_csv(fh, ["slices", "l2_error", "observed_order"], rows)
+            _write_csv(fh, ["slices", "l2_error", "observed_order"], "%d,%.17g,%s", rows)
         with create("convergence.json") as fh:
             _write_json(fh, {"reference_scheme": "cfm4",
                              "reference_slices": ref_slices,
@@ -793,8 +814,8 @@ def compare_dirac_scenario(config: ScenarioConfig,
 
         # multi-projection run over the same window, projected back onto the
         # initial basis
-        schedule = build_schedule(t0, t_end, config.slices, h.potential.profile)
-        mp_coeffs = project(evolve(psi0, h, schedule, config.truncation).final_state, basis0)
+        mp_coeffs = project(evolve(psi0, h, t0, t_end, config.slices,
+                                   config.truncation).final_state, basis0)
 
         omegas = basis0.energies / h.hbar
         v_of_t = dirac_mod.perturbation_operator(h, basis0, t0)
@@ -824,12 +845,14 @@ def compare_dirac_scenario(config: ScenarioConfig,
                          abs(a_mp - a_rk), abs(a_mp - a_fo), abs(a_rk - a_fo)))
         with create("dirac_compare.csv") as fh:
             _write_csv(fh, ["m", "abs_c_multiproj", "abs_c_rk4", "abs_b_first_order",
-                            "diff_mp_rk4", "diff_mp_fo", "diff_rk4_fo"], rows)
+                            "diff_mp_rk4", "diff_mp_fo", "diff_rk4_fo"],
+                       "%d" + ",%.17g" * 6, rows)
 
         if traj is not None:
             norms = traj.norm_history
             with create("norm_history.csv") as fh:
-                _write_csv(fh, ["t", "norm"], zip(traj.times.tolist(), norms.tolist()))
+                _write_csv(fh, ["t", "norm"], "%.17g,%.17g",
+                           zip(traj.times.tolist(), norms.tolist()))
             report = dirac_mod.divergence_diagnostic(traj)
         else:
             report = dirac_mod.DivergenceReport(math.inf, math.inf, float(t0))

@@ -17,7 +17,7 @@ from mpsolve.dirac import (
 )
 from mpsolve.eigensolver import discretize, eigendecompose, residual
 from mpsolve.oscillator import OscillatorParams, sudden_quench_coefficients
-from mpsolve.projection import build_schedule, evolve, project, reconstruct
+from mpsolve.projection import evolve, project, reconstruct
 from mpsolve.scenario import (
     bundled_scenario_path,
     compare_dirac_scenario,
@@ -54,8 +54,7 @@ def quench_run(eta, t1=2.0, slices=4, truncation=64, grid=DEFAULT_GRID):
     h = hamiltonian(ScaleProfile.step(eta, 0.0))
     basis0 = eigendecompose(discretize(h, grid, -1.0), grid, max(truncation or 1, 1))
     psi0 = basis0.state(0)
-    schedule = build_schedule(0.0, t1, slices, h.potential.profile)
-    return evolve(psi0, h, schedule, truncation)
+    return evolve(psi0, h, 0.0, t1, slices, truncation)
 
 
 class TestAcceptance:
@@ -97,7 +96,7 @@ class TestAcceptance:
             basis0 = eigendecompose(discretize(h, DEFAULT_GRID, -1.0),
                                     DEFAULT_GRID, 64)
             psi0 = basis0.state(0)
-            res = evolve(psi0, h, build_schedule(0.0, big_t, 8, profile), 64)
+            res = evolve(psi0, h, 0.0, big_t, 8, 64)
             overlap = complex(np.sum(
                 DEFAULT_GRID.weights * np.conj(psi0.amplitudes)
                 * res.final_state.amplitudes))
@@ -112,7 +111,7 @@ class TestAcceptance:
         h = hamiltonian()
         basis = eigendecompose(discretize(h, DEFAULT_GRID, 0.0), DEFAULT_GRID, 64)
         psi0 = basis.state(0)
-        res = evolve(psi0, h, build_schedule(0.0, 10.0, 1000), 64)
+        res = evolve(psi0, h, 0.0, 10.0, 1000, 64)
         c0_abs = np.array([abs(r.coefficients[0]) for r in res.reports])
         norms = np.array([r.norm_squared for r in res.reports])
         assert np.abs(c0_abs - 1.0).max() <= 1e-8
@@ -129,8 +128,7 @@ class TestAcceptance:
         rebuilt = reconstruct(project(psi, basis), basis)
         assert np.abs(rebuilt.amplitudes - psi.amplitudes).max() <= 1e-9
 
-        res = evolve(basis.state(0), h, build_schedule(0.0, 20.0, 2000),
-                     truncation=None)
+        res = evolve(basis.state(0), h, 0.0, 20.0, 2000, truncation=None)
         norms = np.array([r.norm_squared for r in res.reports])
         assert np.abs(norms - 1.0).max() <= 1e-9
 
@@ -144,7 +142,7 @@ class TestAcceptance:
             h = hamiltonian(profile)
             basis0 = eigendecompose(discretize(h, grid, -1.0), grid, n_states)
             psi0 = basis0.state(0)
-            res = evolve(psi0, h, build_schedule(0.0, big_t, 4, profile), n_states)
+            res = evolve(psi0, h, 0.0, big_t, 4, n_states)
             c_mp = project(res.final_state, basis0)[2]
 
             omegas = basis0.energies

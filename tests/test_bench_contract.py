@@ -1,10 +1,13 @@
 """The bench's tracer wraps package attributes by name (WRAPPED in
-bench/tracing.py); every name it lists must still exist, or a traced bench
-run fails."""
+bench/tracing.py), and its observers in bench/run.py read the arguments and
+results of the wrapped calls; every name they use must still exist, or a
+traced bench run fails."""
 
 import ast
+import dataclasses
 import functools
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -25,3 +28,18 @@ def wrapped() -> tuple:
 def test_wrapped_attribute_resolves(module, attr, span):
     target = functools.reduce(getattr, attr.split("."), importlib.import_module(module))
     assert callable(target)
+
+
+def test_observed_names_exist():
+    from mpsolve.dirac import AmplitudeTrajectory
+    from mpsolve.projection import EvolutionResult, ProjectionStepReport, evolve
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    # _observe_evolve reads the grid of evolve's first argument, then every report
+    assert next(iter(inspect.signature(evolve).parameters)) == "psi0"
+    assert "reports" in fields(EvolutionResult)
+    assert {"coefficients", "basis_refreshed"} <= fields(ProjectionStepReport)
+    # _observe_integrate counts the steps from the sample times
+    assert "times" in fields(AmplitudeTrajectory)

@@ -14,7 +14,6 @@ from mpsolve import (
     PotentialSpec,
     ScaleProfile,
     WaveFunction,
-    build_schedule,
     discretize,
     eigendecompose,
     evolve,
@@ -23,9 +22,10 @@ from mpsolve import (
     norm_squared,
     project,
     reconstruct,
+    slice_boundaries,
 )
 from mpsolve import projection
-from mpsolve.projection import SCHEMES, SliceSchedule, _moments, _slice_factors
+from mpsolve.projection import SCHEMES, _moments, _slice_factors
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -127,15 +127,15 @@ def kernel_cases(draw):
     return EigenBasis(np.arange(m, dtype=float), q, g), vector(n), vector(m)
 
 
-def round_trip_evolve(psi0, h, schedule, truncation, scheme):
+def round_trip_evolve(psi0, h, t0, t1, slices, truncation, scheme):
     """Reference for `evolve`: every factor goes through the grid (project,
     phase, reconstruct) and every slice reports `intermediate_energy` and
     `norm_squared` of the rebuilt state.  Returns (final state, energies,
     norms)."""
-    grid, bounds = psi0.grid, schedule.boundaries
+    grid, bounds = psi0.grid, slice_boundaries(h.potential, t0, t1, slices)
     state, diagonal, basis = psi0, None, None
     energies, norms = [], []
-    for j in range(schedule.slices):
+    for j in range(bounds.size - 1):
         for matrix, share in _slice_factors(h, grid, bounds[j], bounds[j + 1], scheme):
             dt = share * (bounds[j + 1] - bounds[j])
             if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
@@ -150,9 +150,9 @@ def round_trip_evolve(psi0, h, schedule, truncation, scheme):
 
 @st.composite
 def evolve_cases(draw):
-    """(psi0, h, schedule, truncation, scheme): a normalized moving Gaussian
-    on at most 128 nodes under a constant, step, pulse or sampled scale
-    profile, with a truncated or the full basis."""
+    """(psi0, h, slices, truncation, scheme) on [0, 2]: a normalized moving
+    Gaussian on at most 128 nodes under a constant, step, pulse or sampled
+    scale profile, with a truncated or the full basis."""
     g = Grid(-8.0, 8.0, draw(st.integers(16, 128)))
     kind = draw(st.sampled_from(("constant", "step", "pulse", "sampled")))
     scale = st.floats(0.25, 4.0)
@@ -171,30 +171,55 @@ def evolve_cases(draw):
     amps = np.exp(-(g.x - x0) ** 2 / 2 + 1j * p * g.x)
     psi0 = WaveFunction(g, amps / math.sqrt(norm_squared(WaveFunction(g, amps))))
     truncation = draw(st.none() | st.integers(1, min(g.points, 24)))
-    schedule = build_schedule(0.0, 2.0, draw(st.integers(1, 16)), prof)
-    return psi0, h, schedule, truncation, draw(st.sampled_from(SCHEMES))
+    return psi0, h, draw(st.integers(1, 16)), truncation, draw(st.sampled_from(SCHEMES))
+
+
+def potential(prof):
+    return PotentialSpec.scaled_harmonic(1.0, prof)
 
 
 class TestBuildSchedule:
+    """The slices `evolve` runs over, from `slice_boundaries`."""
+
     def test_uniform(self):
-        s = build_schedule(0.0, 1.0, 4, ScaleProfile.constant())
-        assert np.allclose(s.boundaries, [0.0, 0.25, 0.5, 0.75, 1.0])
+        b = slice_boundaries(potential(ScaleProfile.constant()), 0.0, 1.0, 4)
+        assert np.allclose(b, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_pulse_discontinuity_inserted(self):
-        prof = ScaleProfile.pulse(2.0, 0.0, 0.6)
-        s = build_schedule(0.0, 1.0, 4, prof)
-        assert np.allclose(s.boundaries, [0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
+        b = slice_boundaries(potential(ScaleProfile.pulse(2.0, 0.0, 0.6)), 0.0, 1.0, 4)
+        assert np.allclose(b, [0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
 
     def test_no_duplicate_for_existing_boundary(self):
         prof = ScaleProfile.step(2.0, t_on=0.0)
-        s = build_schedule(0.0, 1.0, 4, prof)
-        assert s.boundaries.size == 5
+        assert slice_boundaries(potential(prof), 0.0, 1.0, 4).size == 5
+        # within 1e-12 of a boundary, or of the other jump, counts as on it
+        prof = ScaleProfile.pulse(2.0, 0.5 + 5e-13, 0.7)
+        assert np.array_equal(slice_boundaries(potential(prof), 0.0, 1.0, 4),
+                              [0.0, 0.25, 0.5, 0.7, 0.75, 1.0])
+        prof = ScaleProfile.pulse(2.0, 0.6, 0.6 + 5e-13)
+        assert np.array_equal(slice_boundaries(potential(prof), 0.0, 1.0, 4),
+                              [0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            build_schedule(1.0, 0.0, 4)
+            slice_boundaries(HARMONIC.potential, 1.0, 0.0, 4)
         with pytest.raises(ValueError):
-            build_schedule(0.0, 1.0, 0)
+            slice_boundaries(HARMONIC.potential, 0.0, 1.0, 0)
+
+    def test_slices_narrower_than_rounding_rejected(self, ground):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            slice_boundaries(HARMONIC.potential, 1.0, 1.0 + 1e-15, 10)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evolve(ground, HARMONIC, 1.0, 1.0 + 1e-15, 10)
+        assert slice_boundaries(HARMONIC.potential, 1.0, 1.0 + 1e-15, 4).size == 5
+
+    def test_evolve_reports_every_slice(self, ground):
+        prof = ScaleProfile.pulse(0.25, 0.3, 0.9)
+        h = HamiltonianSpec(1.0, 1.0, potential(prof))
+        res = evolve(ground, h, 0.0, 2.0, 4, truncation=8)
+        assert [r.t_end for r in res.reports] == slice_boundaries(h.potential, 0.0, 2.0,
+                                                                  4)[1:].tolist()
+        assert [r.t_end for r in res.reports] == [0.3, 0.5, 0.9, 1.0, 1.5, 2.0]
 
 
 class TestStepwiseHamiltonian:
@@ -375,8 +400,7 @@ class TestIntermediateEnergy:
 
 class TestEvolve:
     def test_stationary_state(self, basis64, ground):
-        schedule = build_schedule(0.0, 0.02, 5)
-        res = evolve(ground, HARMONIC, schedule, truncation=64)
+        res = evolve(ground, HARMONIC, 0.0, 0.02, 5, truncation=64)
         c = project(res.final_state, basis64)
         assert abs(abs(c[0]) - 1.0) < 1e-8
         assert np.abs(c[1:]).max() < 1e-8
@@ -385,10 +409,9 @@ class TestEvolve:
 
     def test_sudden_quench_energy(self, ground):
         h = quench_hamiltonian(0.25)
-        schedule = build_schedule(0.0, 2.0, 4, h.potential.profile)
-        res = evolve(ground, h, schedule, truncation=64)
+        res = evolve(ground, h, 0.0, 2.0, 4, truncation=64)
         assert res.reports[-1].energy / 0.5 == pytest.approx(0.625, abs=1e-3)
-        res7 = evolve(ground, h, schedule, truncation=7)
+        res7 = evolve(ground, h, 0.0, 2.0, 4, truncation=7)
         assert res7.reports[-1].energy / 0.5 == pytest.approx(0.6246, abs=1e-3)
 
     def test_pulse_revival_and_phase(self, ground):
@@ -396,8 +419,8 @@ class TestEvolve:
         big_t = 4 * math.pi / math.sqrt(eta)
         prof = ScaleProfile.pulse(eta, 0.0, big_t)
         h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
-        res = evolve(ground, h, build_schedule(0.0, big_t, 8, prof), truncation=64)
-        ref = evolve(ground, HARMONIC, build_schedule(0.0, big_t, 1), truncation=64)
+        res = evolve(ground, h, 0.0, big_t, 8, truncation=64)
+        ref = evolve(ground, HARMONIC, 0.0, big_t, 1, truncation=64)
         overlap = inner_product(ground, res.final_state)
         assert abs(overlap) == pytest.approx(1.0, abs=1e-4)
         rel_phase = np.angle(inner_product(ref.final_state, res.final_state))
@@ -409,28 +432,26 @@ class TestEvolve:
         h = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
         basis = eigendecompose(discretize(h, g, 0.0), g)
         psi0 = basis.state(0)
-        res = evolve(psi0, h, build_schedule(0.0, 20.0, 10_000), truncation=None)
+        res = evolve(psi0, h, 0.0, 20.0, 10_000, truncation=None)
         norms = np.array([r.norm_squared for r in res.reports])
         assert np.abs(norms - 1.0).max() <= 1e-9
         assert abs(norms[-1] - 1.0) <= 1e-6
 
     def test_truncation_never_increases_norm(self, ground):
         h = quench_hamiltonian(0.25)
-        schedule = build_schedule(0.0, 3.0, 6, h.potential.profile)
-        res = evolve(ground, h, schedule, truncation=5)
+        res = evolve(ground, h, 0.0, 3.0, 6, truncation=5)
         norms = [norm_squared(ground)] + [r.norm_squared for r in res.reports]
         for before, after in zip(norms[:-1], norms[1:]):
             assert after <= before + 1e-12
 
     def test_basis_reuse_matches_fresh_solves(self, ground):
         h = quench_hamiltonian(0.81)
-        schedule = build_schedule(0.0, 2.0, 8, h.potential.profile)
-        bounds = schedule.boundaries
-        whole = evolve(ground, h, schedule, truncation=32)
+        bounds = slice_boundaries(h.potential, 0.0, 2.0, 8)
+        whole = evolve(ground, h, 0.0, 2.0, 8, truncation=32)
         assert [r.basis_refreshed for r in whole.reports] == [True] + [False] * 7
         # a reused slice multiplies the coefficients by its phases, nothing else
         basis = eigendecompose(average_matrix(h, GRID, bounds[0], bounds[1]), GRID, 32)
-        for j in range(1, schedule.slices):
+        for j in range(1, 8):
             dt = bounds[j + 1] - bounds[j]
             assert np.array_equal(
                 whole.reports[j].coefficients,
@@ -441,8 +462,8 @@ class TestEvolve:
         # one-slice restarts go through the grid on every slice and agree
         # with the whole run to rounding
         psi = ground
-        for j in range(schedule.slices):
-            one = evolve(psi, h, SliceSchedule(bounds[j:j + 2]), truncation=32)
+        for j in range(8):
+            one = evolve(psi, h, bounds[j], bounds[j + 1], 1, truncation=32)
             assert one.reports[0].basis_refreshed
             assert np.abs(one.reports[0].coefficients
                           - whole.reports[j].coefficients).max() <= 1e-14
@@ -452,9 +473,10 @@ class TestEvolve:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(evolve_cases())
     def test_matches_grid_round_trip_on_every_factor(self, case):
-        psi0, h, schedule, truncation, scheme = case
-        res = evolve(psi0, h, schedule, truncation, scheme=scheme)
-        state, energies, norms = round_trip_evolve(psi0, h, schedule, truncation, scheme)
+        psi0, h, slices, truncation, scheme = case
+        res = evolve(psi0, h, 0.0, 2.0, slices, truncation, scheme=scheme)
+        state, energies, norms = round_trip_evolve(psi0, h, 0.0, 2.0, slices, truncation,
+                                                   scheme)
         np.testing.assert_allclose([r.energy for r in res.reports], energies,
                                    rtol=1e-12, atol=0.0)
         np.testing.assert_allclose([r.norm_squared for r in res.reports], norms,
@@ -470,7 +492,7 @@ class TestEvolve:
             monkeypatch.setattr(projection, name, counted)
         g = Grid(-8.0, 8.0, 64)
         psi0 = eigendecompose(discretize(HARMONIC, g, 0.0), g, 1).state(0)
-        res = evolve(psi0, HARMONIC, build_schedule(0.0, 10.0, 1000), truncation=16)
+        res = evolve(psi0, HARMONIC, 0.0, 10.0, 1000, truncation=16)
         assert res.eigensolves["reused"] == 999
         assert calls == {"project": 1, "reconstruct": 1, "_slice_factors": 1}
 
@@ -480,9 +502,8 @@ class TestEvolve:
         # on every slice; they are the harmonic potential's, bit for bit
         flat = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(
             1.0, ScaleProfile.sampled([0.0, 1.0], [1.0, 1.0])))
-        schedule = build_schedule(0.0, 1.0, 7)
-        once = evolve(ground, HARMONIC, schedule, truncation=16, scheme=scheme)
-        every = evolve(ground, flat, schedule, truncation=16, scheme=scheme)
+        once = evolve(ground, HARMONIC, 0.0, 1.0, 7, truncation=16, scheme=scheme)
+        every = evolve(ground, flat, 0.0, 1.0, 7, truncation=16, scheme=scheme)
         assert once.eigensolves == every.eigensolves
         for a, b in zip(once.reports, every.reports):
             assert np.array_equal(a.coefficients, b.coefficients)
@@ -493,14 +514,13 @@ class TestEvolve:
         g = Grid(-12.0, 12.0, 512)
         h = smooth_ramp_hamiltonian()
         psi = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
-        schedule = build_schedule(0.0, 2.0, 128)
-        whole = evolve(psi, h, schedule, truncation=48)
+        bounds = slice_boundaries(h.potential, 0.0, 2.0, 128)
+        whole = evolve(psi, h, 0.0, 2.0, 128, truncation=48)
         counts = whole.eigensolves
         assert counts["refined"] >= 120
         assert counts["reused"] + counts["refined"] + counts["lapack"] == 128
-        for j in range(schedule.slices):
-            one = evolve(psi, h, SliceSchedule(schedule.boundaries[j:j + 2]),
-                         truncation=48)
+        for j in range(128):
+            one = evolve(psi, h, bounds[j], bounds[j + 1], 1, truncation=48)
             assert one.eigensolves == {"reused": 0, "refined": 0, "lapack": 1,
                                        "fallbacks": 0}
             assert np.abs(one.reports[0].coefficients
@@ -516,7 +536,7 @@ class TestEvolve:
         def peak(n):
             tracemalloc.start()
             try:
-                evolve(psi0, h, build_schedule(0.0, 2.0, n), truncation=48)
+                evolve(psi0, h, 0.0, 2.0, n, truncation=48)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -527,10 +547,10 @@ class TestEvolve:
         g = Grid(-12.0, 12.0, 512)
         h = smooth_ramp_hamiltonian()
         psi0 = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
-        ref = evolve(psi0, h, build_schedule(0.0, 2.0, 256), truncation=48).final_state
+        ref = evolve(psi0, h, 0.0, 2.0, 256, truncation=48).final_state
 
         def err(n):
-            fin = evolve(psi0, h, build_schedule(0.0, 2.0, n), truncation=48).final_state
+            fin = evolve(psi0, h, 0.0, 2.0, n, truncation=48).final_state
             return math.sqrt(norm_squared(
                 WaveFunction(g, fin.amplitudes - ref.amplitudes)))
 
@@ -543,17 +563,15 @@ class TestEvolve:
         bq = eigendecompose(
             discretize(HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(0.25)),
                        GRID, 0.0), GRID, 32)
-        res1 = evolve(ground, h, build_schedule(0.0, 2.0, 1, h.potential.profile),
-                      truncation=32)
-        res100 = evolve(ground, h, build_schedule(0.0, 2.0, 100, h.potential.profile),
-                        truncation=32)
+        res1 = evolve(ground, h, 0.0, 2.0, 1, truncation=32)
+        res100 = evolve(ground, h, 0.0, 2.0, 100, truncation=32)
         c1, c100 = (project(r.final_state, bq) for r in (res1, res100))
         assert np.abs(c1 - c100).max() < 1e-9
 
     def test_nonfinite_initial_state_rejected(self):
         bad = WaveFunction(GRID, np.full(1024, np.nan, dtype=complex))
         with pytest.raises(ValueError, match="non-finite"):
-            evolve(bad, HARMONIC, build_schedule(0.0, 1.0, 2))
+            evolve(bad, HARMONIC, 0.0, 1.0, 2)
 
 
 class TestCfm4:
@@ -569,7 +587,7 @@ class TestCfm4:
         psi0 = eigendecompose(discretize(h, g, 0.0), g, 1).state(0)
 
         def final(n):
-            return evolve(psi0, h, build_schedule(0.0, 2.0, n, prof), truncation=24,
+            return evolve(psi0, h, 0.0, 2.0, n, truncation=24,
                           scheme="cfm4").final_state.amplitudes
 
         ref = final(128)
@@ -583,9 +601,8 @@ class TestCfm4:
                              ids=["step", "pulse"])
     def test_matches_average_on_piecewise_constant_profiles(self, ground, profile):
         h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, profile))
-        schedule = build_schedule(0.0, 2.0, 6, profile)
-        avg = evolve(ground, h, schedule, truncation=32)
-        cfm4 = evolve(ground, h, schedule, truncation=32, scheme="cfm4")
+        avg = evolve(ground, h, 0.0, 2.0, 6, truncation=32)
+        cfm4 = evolve(ground, h, 0.0, 2.0, 6, truncation=32, scheme="cfm4")
         assert np.abs(cfm4.final_state.amplitudes - avg.final_state.amplitudes).max() < 1e-12
         for a, c in zip(avg.reports, cfm4.reports):
             assert np.abs(c.coefficients - a.coefficients).max() < 1e-12
@@ -593,8 +610,8 @@ class TestCfm4:
             assert c.basis_refreshed == a.basis_refreshed
         # each slice's second factor reuses the first factor's basis
         assert cfm4.eigensolves == {**avg.eigensolves,
-                                    "reused": avg.eigensolves["reused"] + schedule.slices}
+                                    "reused": avg.eigensolves["reused"] + len(avg.reports)}
 
     def test_unknown_scheme_rejected(self, ground):
         with pytest.raises(ValueError, match="scheme"):
-            evolve(ground, HARMONIC, build_schedule(0.0, 1.0, 2), scheme="rk4")
+            evolve(ground, HARMONIC, 0.0, 1.0, 2, scheme="rk4")

@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
 from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec
 from mpsolve.eigensolver import discretize, eigendecompose
-from mpsolve.projection import build_schedule, evolve
+from mpsolve.projection import evolve
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
+    MAX_SLICES,
     ScenarioError,
     bundled_scenario_path,
     compare_dirac_scenario,
@@ -139,10 +141,12 @@ def tabulated_ramp_doc():
 
 
 @st.composite
-def small_scenarios(draw):
+def small_scenarios(draw, dirac=False):
     """A scenario document on at most 64 nodes, with at most 4 slices and
-    at most 8 retained states, for every potential and scale-profile kind.
-    Most drawn documents validate; the rest give violations."""
+    at most 8 retained states, for every potential and scale-profile kind;
+    with `dirac`, also a dirac section of up to 2 more states than the grid
+    has nodes, sometimes on a window of its own.  Most drawn documents
+    validate; the rest give violations."""
     points = draw(st.integers(3, 64))
     half_width = draw(st.floats(0.5, 20.0))
     t0 = draw(st.floats(-2.0, 2.0))
@@ -177,7 +181,7 @@ def small_scenarios(draw):
                                              max_size=len(times)))}
         potential = {"kind": "scaled_harmonic", "k": draw(magnitude), "scale": scale}
     truncation = draw(st.integers(1, 8))
-    return {
+    doc = {
         "grid": {"x_min": -half_width, "x_max": half_width, "points": points},
         "units": {"hbar": draw(st.floats(0.1, 10.0)), "mass": draw(st.floats(0.1, 10.0))},
         "potential": potential,
@@ -191,6 +195,14 @@ def small_scenarios(draw):
         # a tabulated potential with a reference is rejected, see TestParse
         "reference": kind != "tabulated" and draw(st.booleans()),
     }
+    if dirac:
+        states = draw(st.integers(1, points + 2))
+        doc["dirac"] = {"states": states, "rk4_steps": draw(st.integers(1, 20)),
+                        "targets": draw(st.lists(st.integers(0, states), min_size=1,
+                                                 max_size=3))}
+        if draw(st.booleans()):
+            doc["dirac"]["t1"] = t0 + draw(st.floats(0.01, 5.0))
+    return doc
 
 
 def smooth_ramp_doc():
@@ -394,6 +406,55 @@ class TestValidate:
             violations = exc.violations
         assert violations == ([] if ok else [violation])
 
+    @pytest.mark.parametrize("dirac_window", [False, True], ids=["schedule", "dirac"])
+    def test_slices_narrower_than_rounding(self, tmp_path, capsys, dirac_window):
+        # ten slices of [1, 1 + 1e-15] round onto one another
+        doc = quench_doc(points=256, truncation=8, slices=10)
+        doc["schedule"].update(t0=1.0, t1=2.0 if dirac_window else 1.0 + 1e-15)
+        if dirac_window:
+            doc["dirac"] = {"states": 8, "rk4_steps": 10, "targets": [2], "t1": 1.0 + 1e-15}
+        path = write_scenario(tmp_path, doc)
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["validate", path], ["run", path, *out], ["compare-dirac", path, *out]):
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "invalid scenario: schedule: slice boundaries must be strictly increasing: "
+                "10 slices do not fit in [1.0, 1.000000000000001]"]
+
+    def test_slice_count_limit(self, tmp_path):
+        parse_scenario(write_scenario(tmp_path, quench_doc(slices=MAX_SLICES)))
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, quench_doc(slices=MAX_SLICES + 1)))
+        assert excinfo.value.violations == ["schedule.slices: must be <= %d" % MAX_SLICES]
+
+    def test_dirac_states_within_the_grid(self, tmp_path, capsys):
+        # 250 states on 200 nodes failed in compare-dirac as a numpy broadcast error
+        doc = with_change(quench_doc(points=200, truncation=8), ("dirac",),
+                          {"states": 250, "rk4_steps": 60, "targets": [2]})
+        path = write_scenario(tmp_path, doc)
+        assert cli_main(["validate", path]) == 1
+        assert capsys.readouterr().err == "invalid scenario: dirac.states: must be <= grid.points\n"
+        doc["dirac"]["states"] = 200
+        parse_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("points, states, steps, where, shape, itemsize", [
+        (16385, 16384, 60, "dirac.states", (16385, 16384), 8),
+        (256, 16, 2**23, "dirac.rk4_steps", (2**23 + 1, 16), 16),
+    ], ids=["basis", "rk4_history"])
+    def test_dirac_memory_limits(self, tmp_path, points, states, steps, where, shape,
+                                 itemsize):
+        what = "eigenbasis" if where == "dirac.states" else "RK4 amplitude history"
+        violation = ("%s: a %d x %d %s takes %d bytes, more than %d"
+                     % (where, *shape, what, shape[0] * shape[1] * itemsize, MAX_BASIS_BYTES))
+        doc = with_change(quench_doc(points=points, truncation=8), ("dirac",),
+                          {"states": states, "rk4_steps": steps, "targets": [2]})
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert excinfo.value.violations == [violation]
+        # one state or one step fewer fits exactly or below the limit
+        doc["dirac"]["states" if where == "dirac.states" else "rk4_steps"] -= 1
+        parse_scenario(write_scenario(tmp_path, doc))
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
                                          "1" + "0" * 400],
                              ids=["nan", "inf", "-inf", "float_overflow", "int_overflow"])
@@ -448,6 +509,34 @@ class TestValidate:
                 code = cli_main(["run", path, "--out", str(Path(tmp) / "out")])
             assert code == 0, err.getvalue()
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(small_scenarios(dirac=True))
+    @example({  # dirac.states == grid.points: the full basis
+        "grid": {"x_min": -6.0, "x_max": 6.0, "points": 32},
+        "potential": {"kind": "scaled_harmonic", "k": 1.0,
+                      "scale": {"kind": "pulse", "eta": 1.5, "t_on": 0.2, "t_off": 0.6}},
+        "schedule": {"t0": 0.0, "t1": 1.0, "slices": 3},
+        "basis": {"truncation": 2},
+        "initial_state": {"eigenstate": 0},
+        "outputs": {"emit": ["summary"]},
+        "dirac": {"states": 32, "rk4_steps": 5, "targets": [1, 31], "t1": 0.7},
+    })
+    def test_valid_scenario_runs_every_command(self, doc):
+        # validate exits 0 => run, compare-dirac and converge exit 0; the
+        # converge runs stay in this process, one example at a time
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(scenario_mod, "_available_cpus", return_value=1):
+            path = write_scenario(Path(tmp), doc)
+            out = str(Path(tmp) / "out")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                if cli_main(["validate", path]) != 0:
+                    return
+                codes = [cli_main(["run", path, "--out", out]),
+                         cli_main(["compare-dirac", path, "--out", out]),
+                         cli_main(["converge", path, "--doublings", "2", "--out", out])]
+            assert codes == [0, 0, 0], err.getvalue()
+
 
 def per_value_csv(header, rows):
     """The CSV text of the writer that formatted one value at a time."""
@@ -461,33 +550,33 @@ BLOCK = scenario_mod._CSV_BLOCK
 SPECIAL_FLOATS = (-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 0.1, -2.5e-17)
 
 
-def csv_table(n, mixed):
-    """n rows of (int, float, float, str); with `mixed` the third column
-    also holds numpy floats, ints and bools, and one row is shorter."""
+def csv_table(n, numpy):
+    """n rows of (int, float, float, str); with `numpy` the floats are
+    numpy floats, as abs() of a numpy complex gives them."""
     for i in range(n):
-        third = SPECIAL_FLOATS[(3 * i + 1) % 8]
-        if mixed:
-            third = (np.float64(third), i, True, third)[i % 4]
-        row = (i, SPECIAL_FLOATS[i % 8], third, "" if i == 0 else "s%d" % i)
-        yield row[:3] if mixed and i == n - 1 else row
+        a, b = SPECIAL_FLOATS[i % 8], SPECIAL_FLOATS[(3 * i + 1) % 8]
+        if numpy:
+            a, b = np.float64(a), np.float64(b)
+        yield (i, a, b, "" if i == 0 else "s%d" % i)
 
 
 class TestWriteCsv:
-    @pytest.mark.parametrize("mixed", [False, True], ids=["uniform", "mixed"])
+    @pytest.mark.parametrize("numpy", [False, True], ids=["uniform", "numpy"])
     @pytest.mark.parametrize("n", [0, 1, BLOCK, BLOCK + 1],
                              ids=["empty", "one_row", "one_block", "block_plus_one"])
-    def test_bytes_match_per_value_formatting(self, n, mixed):
+    def test_bytes_match_per_value_formatting(self, n, numpy):
         header = ["slice", "a", "b", "order"]
         fh = io.StringIO()
-        scenario_mod._write_csv(fh, header, csv_table(n, mixed))
-        assert fh.getvalue() == per_value_csv(header, csv_table(n, mixed))
+        scenario_mod._write_csv(fh, header, "%d,%.17g,%.17g,%s", csv_table(n, numpy))
+        assert fh.getvalue() == per_value_csv(header, csv_table(n, numpy))
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         rows = ((j // 64, j % 64, 0.1 * j, -1.0 / (j + 1), 1e-3 * j) for j in range(200_000))
         with open(tmp_path / "rows.csv", "w", encoding="utf-8", newline="\n") as fh:
             tracemalloc.start()
             try:
-                scenario_mod._write_csv(fh, ["slice", "k", "re", "im", "abs2"], rows)
+                scenario_mod._write_csv(fh, ["slice", "k", "re", "im", "abs2"],
+                                        "%d,%d,%.17g,%.17g,%.17g", rows)
                 assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
             finally:
                 tracemalloc.stop()
@@ -651,8 +740,7 @@ class TestConverge:
         psi0 = scenario_mod._initial_state(cfg)
 
         def final(n, scheme):
-            schedule = build_schedule(cfg.t0, cfg.t1, n, cfg.hamiltonian.potential.profile)
-            return evolve(psi0, cfg.hamiltonian, schedule, cfg.truncation,
+            return evolve(psi0, cfg.hamiltonian, cfg.t0, cfg.t1, n, cfg.truncation,
                           scheme=scheme).final_state.amplitudes
 
         def distance(a, b):
@@ -903,6 +991,33 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert "doublings >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doublings", [16, 17, 40, 10**9])
+    def test_converge_doublings_bounded_above(self, tmp_path, capsys, monkeypatch,
+                                              doublings):
+        # 4 slices x 2**16 is MAX_SLICES, so 16 is admitted; a larger request is
+        # refused before the initial state is solved, a worker starts or a file
+        # is written
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(scenario_mod, "_initial_state", started)
+        monkeypatch.setattr(scenario_mod, "_run_jobs", started)
+        path = write_scenario(tmp_path, quench_doc(points=256, truncation=24))
+        out = tmp_path / "out"
+        if doublings == 16:
+            with pytest.raises(Started):
+                cli_main(["converge", path, "--doublings", str(doublings), "--out", str(out)])
+            return
+        assert cli_main(["converge", path, "--doublings", str(doublings),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "invalid scenario: converge requires doublings >= 2 and slices x 2**doublings "
+            "<= %d (here 4 x 2**%d)\n" % (MAX_SLICES, doublings))
+        assert multiprocessing.active_children() == [] and not out.exists()
 
     @pytest.mark.parametrize("doc, flat", [
         (tabulated_ramp_doc(), False),
