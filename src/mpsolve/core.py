@@ -24,6 +24,7 @@ __all__ = [
     "PotentialSpec",
     "HamiltonianSpec",
     "gauss_pieces",
+    "piece_cuts",
     "inner_product",
     "norm_squared",
 ]
@@ -281,11 +282,18 @@ class HamiltonianSpec:
         return np.asarray(self.potential.evaluate(grid.x, t), dtype=float)
 
 
-def gauss_pieces(knots, t_a: float, t_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(mid, half): midpoints and half-widths of the pieces that the knots
-    strictly inside (t_a, t_b) cut [t_a, t_b] into.  A V that is linear in
-    t on every piece is integrated exactly by two-point Gauss-Legendre on
-    each, at mid -+ half / sqrt(3), and never evaluated at a knot."""
+def piece_cuts(knots, t_a: float, t_b: float) -> np.ndarray:
+    """The ends of the pieces that the knots strictly inside (t_a, t_b) cut
+    [t_a, t_b] into: t_a, those knots in increasing order without repeats,
+    and t_b."""
     knots = np.asarray(knots, dtype=float)
-    cuts = np.concatenate(([t_a], np.unique(knots[(knots > t_a) & (knots < t_b)]), [t_b]))
+    return np.concatenate(([t_a], np.unique(knots[(knots > t_a) & (knots < t_b)]), [t_b]))
+
+
+def gauss_pieces(knots, t_a: float, t_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mid, half): midpoints and half-widths of the `piece_cuts` pieces.  A
+    V that is linear in t on every piece is integrated exactly by two-point
+    Gauss-Legendre on each, at mid -+ half / sqrt(3), and never evaluated at
+    a knot."""
+    cuts = piece_cuts(knots, t_a, t_b)
     return 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])

@@ -5,6 +5,10 @@ diagnostic for the truncated strong-coupling regime.
 Amplitudes follow i hbar dC_k/dt = sum_m C_m exp(i (w_k - w_m) t) V_km with
 V(t) = H(t) - H(t0); with a complete basis and exact integration this flow
 is norm-preserving, so any observed norm drift is integrator error.
+
+V may jump or change slope at its breakpoints, so RK4 restarts at each one
+inside its window and takes V on every piece from inside that piece: a jump
+then costs no order of accuracy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import HamiltonianSpec, gauss_pieces
+from .core import HamiltonianSpec, gauss_pieces, piece_cuts
 from .eigensolver import EigenBasis
 
 __all__ = [
@@ -23,6 +27,7 @@ __all__ = [
     "DivergenceReport",
     "perturbation_operator",
     "perturbation_elements",
+    "rk4_pieces",
     "integrate_amplitudes",
     "first_order_amplitude",
     "divergence_diagnostic",
@@ -96,11 +101,50 @@ def perturbation_elements(h: HamiltonianSpec, basis: EigenBasis, t: float,
     return perturbation_operator(h, basis, t0)(t)
 
 
+def rk4_pieces(breakpoints, t_span: tuple[float, float],
+               steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cuts, counts): the `piece_cuts` of the window by V's breakpoints, and
+    the RK4 steps each piece takes, `steps` in all.  Every piece takes one
+    step, and the other steps - P go to the pieces in proportion to their
+    length, rounded to the nearest step along the running total, so that
+    the counts add up and each is within one of its share.
+    A window without breakpoints inside is one piece of `steps` steps.
+
+    ValueError unless t_span increases, or if `steps` is below the piece
+    count P."""
+    if not t_span[0] < t_span[1]:
+        raise ValueError("t_span must increase")
+    cuts = piece_cuts(breakpoints, *t_span)
+    pieces = cuts.size - 1
+    if steps < pieces:
+        raise ValueError("V's breakpoints cut [%r, %r] into %d pieces and RK4 takes at "
+                         "least one step on each, so it needs at least %d steps, not %d"
+                         % (t_span[0], t_span[1], pieces, pieces, steps))
+    elapsed = cuts - cuts[0]
+    extra = np.rint((steps - pieces) * (elapsed / elapsed[-1]))
+    return cuts, 1 + np.diff(extra).astype(int)
+
+
 def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
                          omegas: np.ndarray, c0: np.ndarray,
                          t_span: tuple[float, float], steps: int,
-                         hbar: float = 1.0) -> AmplitudeTrajectory:
-    """Fixed-step classical RK4 on the coupled amplitude equations.
+                         breakpoints=(), hbar: float = 1.0) -> AmplitudeTrajectory:
+    """Fixed-step classical RK4 on the coupled amplitude equations, piece by
+    piece between the `breakpoints` strictly inside `t_span`.
+
+    `breakpoints` are the times at which V may jump or change slope, as
+    `first_order_amplitude` takes them.  `rk4_pieces` shares the `steps`
+    out among the pieces; a piece [a, b] of n steps is stepped on
+    a + i (b - a)/n for i < n, and then b, so a window without breakpoints
+    inside keeps the grid t0 + i dt.  The largest step, which compare-dirac
+    reports as `rk4_dt`, is the largest (b - a)/n; for one piece it is
+    dt = (t1 - t0)/steps.
+
+    V is called only strictly inside the piece being stepped: a stage at a
+    piece end takes V one ulp inside, which is the one-sided limit of every
+    supported V, while the phases exp(i w t) keep the true stage time.  V
+    and the phases are computed once per distinct stage time: the midpoint
+    serves k2 and k3, and a step's end serves the next step's k1.
 
     Aborts with the step index if an amplitude goes non-finite, which is a
     reportable outcome under strong coupling, not a bug.
@@ -111,29 +155,42 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     c = np.asarray(c0, dtype=complex).copy()
     if not np.all(np.isfinite(c)):
         raise ValueError("initial amplitudes must be finite")
-    t_start, t_end = t_span
-    dt = (t_end - t_start) / steps
+    cuts, counts = rk4_pieces(breakpoints, t_span, steps)
 
-    def rhs(t, amps):
-        # exp(i (w_k - w_m) t) V_km = p_k V_km conj(p_m) with p = exp(i w t)
-        p = np.exp(1j * omegas * t)
-        return (-1j / hbar) * p * (v_of_t(t) @ (amps * p.conj()))
+    def phases(t):
+        # exp(i (w_k - w_m) t) V_km = p_k V_km conj(p_m) with p = exp(i w t);
+        # the right-hand side at t is then q * (V @ (C * conj(p))), q = -i p / hbar
+        p = np.exp(1j * np.multiply.outer(t, omegas))
+        return (-1j / hbar) * p, p.conj()
 
     times = np.empty(steps + 1)
     history = np.empty((steps + 1, c.size), dtype=complex)
-    times[0] = t_start
     history[0] = c
-    for i in range(steps):
-        t = t_start + i * dt
-        k1 = rhs(t, c)
-        k2 = rhs(t + 0.5 * dt, c + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, c + 0.5 * dt * k2)
-        k4 = rhs(t + dt, c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(c)):
-            raise RuntimeError("non-finite amplitude at step %d" % (i + 1))
-        times[i + 1] = t + dt
-        history[i + 1] = c
+    row = 0
+    for a, b, n in zip(cuts[:-1].tolist(), cuts[1:].tolist(), counts.tolist()):
+        dt = (b - a) / n
+        grid = a + np.arange(n + 1) * dt
+        grid[-1] = b
+        times[row:row + n + 1] = grid
+        lo, hi = np.nextafter(a, b), np.nextafter(b, a)
+
+        def v_inside(t):
+            return v_of_t(min(max(t, lo), hi))
+
+        v1, (q1, pc1) = v_inside(a), phases(a)
+        for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
+            (q_mid, q_next), (pc_mid, pc_next) = phases((t + 0.5 * dt, t_next))
+            v_mid, v_next = v_inside(t + 0.5 * dt), v_inside(t_next)
+            k1 = q1 * (v1 @ (c * pc1))
+            k2 = q_mid * (v_mid @ ((c + 0.5 * dt * k1) * pc_mid))
+            k3 = q_mid * (v_mid @ ((c + 0.5 * dt * k2) * pc_mid))
+            k4 = q_next * (v_next @ ((c + dt * k3) * pc_next))
+            c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            row += 1
+            if not np.all(np.isfinite(c)):
+                raise RuntimeError("non-finite amplitude at step %d" % row)
+            history[row] = c
+            v1, q1, pc1 = v_next, q_next, pc_next
     return AmplitudeTrajectory(times=times, amplitudes=history)
 
 

@@ -382,11 +382,17 @@ def parse_scenario(path: str) -> ScenarioConfig:
             if None not in (states, steps):  # integrate_amplitudes keeps every step
                 _fits("dirac.rk4_steps", "RK4 amplitude history", steps + 1, states, 16,
                       errors)
+            t_end = t1
             if "t1" in dirac_cfg:
                 t_end = _num(dirac_cfg, "t1", "dirac", errors)
                 covered.append(("dirac.t1", t_end))
                 if t_end is not None and t0 is not None and not t0 < t_end:
                     errors.append("dirac.t1: must be > schedule.t0")
+            if None not in (t0, t_end, steps) and t0 < t_end:
+                try:  # the pieces RK4 steps between
+                    dirac_mod.rk4_pieces(potential.breakpoints(), (t0, t_end), steps)
+                except ValueError as exc:
+                    errors.append("dirac.rk4_steps: %s" % exc)
             targets = dirac_cfg.get("targets")
             if not isinstance(targets, list) or not targets or not all(
                 isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in targets
@@ -732,6 +738,8 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     cfm4 run at half its slices (null for a one-slice reference), which is
     an estimate of the reference's error, not a bound; and `eigensolves`,
     each run's eigensolve counts (reference, estimate, then the rungs).
+    Every slice count written is the count the run took: the uniform slices
+    plus each jump of V inside (t0, t1) that `slice_boundaries` adds.
 
     No run reads another's result, so the runs go on up to
     min(runs, CPUs) forked worker processes, the most factors first (a
@@ -763,11 +771,16 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
         def distance(a: np.ndarray, b: np.ndarray) -> float:
             return math.sqrt(norm_squared(WaveFunction(config.grid, a - b)))
 
+        def ran(n_slices: int) -> int:
+            # evolve also cuts at each jump of V inside (t0, t1)
+            return slice_boundaries(pot, config.t0, config.t1, n_slices).size - 1
+
+        rungs = [ran(n_slices) for n_slices in ladder]
         ref = runs[0][0]
         ref_estimate = distance(ref, runs[1][0]) if ref_slices > 1 else None
         rows = []
         errors = []
-        for n_slices, (final, _) in zip(ladder, runs[-len(ladder):]):
+        for n_slices, (final, _) in zip(rungs, runs[-len(ladder):]):
             err = distance(final, ref)
             errors.append(err)
             if len(errors) == 1:
@@ -781,12 +794,12 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
             _write_csv(fh, ["slices", "l2_error", "observed_order"], "%d,%.17g,%s", rows)
         with create("convergence.json") as fh:
             _write_json(fh, {"reference_scheme": "cfm4",
-                             "reference_slices": ref_slices,
+                             "reference_slices": ran(ref_slices),
                              "reference_error_estimate": ref_estimate,
                              "eigensolves": [
-                                 {"scheme": scheme, "slices": n_slices, "counts": counts}
+                                 {"scheme": scheme, "slices": ran(n_slices), "counts": counts}
                                  for (n_slices, scheme), (_, counts) in zip(jobs, runs)]})
-        return [(n, e) for n, e in zip(ladder, errors)]
+        return list(zip(rungs, errors))
 
 
 def compare_dirac_scenario(config: ScenarioConfig,
@@ -806,7 +819,9 @@ def compare_dirac_scenario(config: ScenarioConfig,
         t_end = float(config.dirac.get("t1", config.t1))
         h = config.hamiltonian
         t0 = config.t0
-        rk4_dt = (t_end - t0) / rk4_steps
+        knots = h.potential.breakpoints()
+        cuts, counts = dirac_mod.rk4_pieces(knots, (t0, t_end), rk4_steps)
+        rk4_dt = float(np.max(np.diff(cuts) / counts))
 
         basis0 = eigendecompose(discretize(h, config.grid, t0), config.grid, n_states)
         n_init = config.eigenstate
@@ -823,8 +838,8 @@ def compare_dirac_scenario(config: ScenarioConfig,
         c0 = np.zeros(n_states, dtype=complex)
         c0[n_init] = project(psi0, basis0)[n_init]
         try:
-            traj = dirac_mod.integrate_amplitudes(v_of_t, omegas, c0,
-                                                  (t0, t_end), rk4_steps, h.hbar)
+            traj = dirac_mod.integrate_amplitudes(v_of_t, omegas, c0, (t0, t_end), rk4_steps,
+                                                  knots, hbar=h.hbar)
             rk4_final = traj.amplitudes[-1] * np.exp(-1j * omegas * (t_end - t0))
         except RuntimeError:
             # amplitude blow-up is itself a reportable outcome
@@ -836,7 +851,7 @@ def compare_dirac_scenario(config: ScenarioConfig,
             # first_order_amplitude integrates over [0, T]; V lives in absolute time
             b_fo = dirac_mod.first_order_amplitude(
                 lambda t, m=m: v_of_t(t0 + t)[m, n_init], n_init, m, omegas,
-                t_end - t0, h.potential.breakpoints() - t0, hbar=h.hbar,
+                t_end - t0, knots - t0, hbar=h.hbar,
             ) if m != n_init else complex("nan")
             a_mp = abs(mp_coeffs[m])
             a_rk = abs(rk4_final[m])

@@ -1,12 +1,13 @@
 """Tests for the coupled-amplitude comparator and first-order formulas."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec, ScaleProfile
+from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, piece_cuts
 from mpsolve.dirac import (
     _SERIES_BELOW,
     divergence_diagnostic,
@@ -14,6 +15,7 @@ from mpsolve.dirac import (
     integrate_amplitudes,
     perturbation_elements,
     perturbation_operator,
+    rk4_pieces,
 )
 from mpsolve.eigensolver import discretize, eigendecompose
 
@@ -228,6 +230,101 @@ class TestIntegrateAmplitudes:
         c0[0] = 1.0
         traj = integrate_amplitudes(lambda t: v, omegas, c0, (0.0, 10.0), 400)
         assert np.abs(traj.norm_history - 1.0).max() < 1e-8
+
+
+class TestBreakpoints:
+    def test_pieces_share_the_steps(self):
+        cuts, counts = rk4_pieces([0.5, 0.75, 0.75, 3.0], (0.0, 1.0), 10)
+        assert cuts.tolist() == [0.0, 0.5, 0.75, 1.0]
+        # one step each, and 7 more shared 3.5 : 1.75 : 1.75 along the running total
+        assert counts.tolist() == [5, 2, 3]
+        assert rk4_pieces([0.5, 0.75], (0.0, 1.0), 3)[1].tolist() == [1, 1, 1]
+        with pytest.raises(ValueError, match="into 3 pieces .* at least 3 steps, not 2"):
+            rk4_pieces([0.5, 0.75], (0.0, 1.0), 2)
+        # knots at or beyond the window ends cut nothing
+        cuts, counts = rk4_pieces([-1.0, 0.0, 1.0, 2.0], (0.0, 1.0), 7)
+        assert cuts.tolist() == [0.0, 1.0] and counts.tolist() == [7]
+        # a piece far shorter than a step still takes one
+        assert rk4_pieces([1e-9, 1.0 - 1e-9], (0.0, 1.0), 400)[1].tolist() == [1, 398, 1]
+        for span in ((1.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="t_span must increase"):
+                rk4_pieces([], span, 3)
+
+    @pytest.mark.parametrize("profile", [ScaleProfile.step(0.6, 0.0),
+                                         ScaleProfile.pulse(1.8, 0.5, 1.3)],
+                             ids=["step_at_t0", "pulse_inside"])
+    def test_fourth_order_against_exact_solution(self, profile):
+        # where V is constant on each piece, one eigh per piece solves the
+        # truncated equations i a' = (diag w + V) a exactly (Schrodinger
+        # picture, a = C exp(-i w (t - t0)))
+        h = scaled(profile)
+        _, basis = oscillator_basis(8)
+        t0, t1 = 0.0, 2.0
+        op = perturbation_operator(h, basis, t0)
+        omegas = basis.energies
+        c0 = np.zeros(8, dtype=complex)
+        c0[0] = 1.0
+        knots = h.potential.breakpoints()
+        exact = c0.copy()
+        cuts = piece_cuts(knots, t0, t1)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            lam, u = np.linalg.eigh(np.diag(omegas) + op(0.5 * (a + b)))
+            exact = u @ (np.exp(-1j * lam * (b - a)) * (u.T @ exact))
+
+        def error(steps):
+            traj = integrate_amplitudes(op, omegas, c0, (t0, t1), steps, knots)
+            return np.abs(traj.amplitudes[-1] * np.exp(-1j * omegas * (t1 - t0)) - exact).max()
+
+        coarse, fine = error(40), error(80)
+        assert 1e-12 < fine < 1e-6  # far above rounding, so the ratio is RK4's
+        assert math.log2(coarse / fine) >= 3.5
+
+    def test_v_never_taken_at_a_breakpoint(self):
+        # near 2**40 an ulp of t is 2**-12, so a phase taken at a time moved
+        # off a breakpoint would show; the phases must keep the true times
+        t0 = 2.0**40
+        t_on, t_off, t1 = t0 + 1.0, t0 + 2.0, t0 + 3.0
+        omegas = np.array([0.5, 1.5, 2.5])
+        coupling = 0.3 * np.array([[1.0, 0.5, 0.2], [0.5, -1.0, 0.4], [0.2, 0.4, 0.7]])
+        seen = []
+
+        def v_of_t(t):
+            seen.append(t)
+            return coupling if t_on < t < t_off else np.zeros((3, 3))
+
+        c0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        traj = integrate_amplitudes(v_of_t, omegas, c0, (t0, t1), 12, [t_on, t_off])
+        assert seen and not {t0, t_on, t_off, t1} & set(seen)
+        assert all(t0 < t < t1 for t in seen)
+
+        # the same RK4 with each piece's V and the phases at the true times
+        def rhs(t, v, amps):
+            p = np.exp(1j * omegas * t)
+            return -1j * p * (v @ (amps * p.conj()))
+
+        c, want, dt = c0, [c0], 0.25
+        for a, v in ((t0, 0 * coupling), (t_on, coupling), (t_off, 0 * coupling)):
+            for i in range(4):
+                t = a + i * dt
+                k1 = rhs(t, v, c)
+                k2 = rhs(t + 0.5 * dt, v, c + 0.5 * dt * k1)
+                k3 = rhs(t + 0.5 * dt, v, c + 0.5 * dt * k2)
+                k4 = rhs(t + dt, v, c + dt * k3)
+                c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                want.append(c)
+        # the pulse moves amplitude, so the comparison is not vacuous
+        assert np.abs(np.diff(np.abs(traj.amplitudes[:, 1]))).max() > 1e-3
+        assert np.abs(traj.amplitudes - np.array(want)).max() < 1e-13
+
+    def test_one_piece_window_keeps_the_step_grid(self):
+        t0, t1, steps = 0.1, 0.7, 30
+        dt = (t1 - t0) / steps
+        grid = t0 + np.arange(steps + 1) * dt
+        assert grid[-1] == t1
+        n = 4
+        traj = integrate_amplitudes(lambda t: np.eye(n), np.arange(n) + 0.5,
+                                    np.eye(n)[0], (t0, t1), steps, [t0, t1, 2.0])
+        assert np.array_equal(traj.times, grid)
 
 
 class TestFirstOrderAmplitude:

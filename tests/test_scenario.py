@@ -455,6 +455,31 @@ class TestValidate:
         doc["dirac"]["states" if where == "dirac.states" else "rk4_steps"] -= 1
         parse_scenario(write_scenario(tmp_path, doc))
 
+    @pytest.mark.parametrize("scale, t1, dirac_t1, window, pieces", [
+        ({"kind": "pulse", "eta": 1.5, "t_on": 0.5, "t_off": 1.5}, 2.0, None, "[0.0, 2.0]", 3),
+        ({"kind": "sampled", "times": [0.0, 0.5, 0.75, 1.0], "values": [1.0, 1.2, 0.9, 1.0]},
+         1.0, None, "[0.0, 1.0]", 3),
+        ({"kind": "step", "eta": 0.5, "t_on": 0.7}, 0.5, 3.0, "[0.0, 3.0]", 2),
+    ], ids=["pulse", "sampled", "step_in_dirac_window"])
+    def test_rk4_steps_cover_every_piece(self, tmp_path, capsys, scale, t1, dirac_t1,
+                                         window, pieces):
+        # RK4 takes at least one step between each two breakpoints of V
+        doc = quench_doc(points=256, truncation=8, t1=t1)
+        doc["potential"]["scale"] = scale
+        doc["dirac"] = {"states": 8, "rk4_steps": pieces - 1, "targets": [2]}
+        if dirac_t1 is not None:
+            doc["dirac"]["t1"] = dirac_t1
+        path = write_scenario(tmp_path, doc)
+        assert cli_main(["validate", path]) == 1
+        assert capsys.readouterr().err == (
+            "invalid scenario: dirac.rk4_steps: V's breakpoints cut %s into %d pieces and "
+            "RK4 takes at least one step on each, so it needs at least %d steps, not %d\n"
+            % (window, pieces, pieces, pieces - 1))
+        doc["dirac"]["rk4_steps"] = pieces
+        path = write_scenario(tmp_path, doc)
+        assert cli_main(["validate", path]) == 0
+        assert cli_main(["compare-dirac", path, "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
                                          "1" + "0" * 400],
                              ids=["nan", "inf", "-inf", "float_overflow", "int_overflow"])
@@ -779,6 +804,25 @@ class TestConverge:
             run(128, "average", 127, 1),
         ]
 
+    def test_rungs_report_the_slices_they_ran(self, tmp_path, monkeypatch):
+        # evolve also cuts at the step at 0.7, which no uniform boundary hits
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 1)
+        doc = quench_doc(points=256, truncation=24)
+        doc["potential"]["scale"]["t_on"] = 0.7
+        cfg = parse_scenario(write_scenario(tmp_path, doc))
+        rungs = converge_scenario(cfg, 2, str(tmp_path / "out"))
+        assert [n for n, _ in rungs] == [5, 9, 17]
+        rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [5, 9, 17]
+        doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
+        assert doc["reference_slices"] == 5
+        # a run's counts add up to its slices, a cfm4 slice counting twice
+        assert [(run["scheme"], run["slices"], sum(run["counts"][k] for k in
+                                                   ("reused", "refined", "lapack")))
+                for run in doc["eigensolves"]] == [
+            ("cfm4", 5, 10), ("cfm4", 3, 6), ("average", 5, 5), ("average", 9, 9),
+            ("average", 17, 17)]
+
     def test_one_slice_reference_has_no_error_estimate(self, tmp_path):
         doc = quench_doc(slices=1, points=256, truncation=24)
         cfg = parse_scenario(write_scenario(tmp_path, doc))
@@ -869,6 +913,22 @@ class TestCompareDirac:
         # 16 states with w_k ~ k + 1/2 and dt = 30/60, far past RK4's bound of ~2.8
         assert doc["rk4_dt"] == 0.5
         assert doc["max_phase_per_step"] == pytest.approx(7.5, rel=1e-2)
+
+    def test_rk4_dt_is_the_largest_step(self, tmp_path):
+        # the pulse's edges cut [0, 1] into 0.25, 0.25 and 0.5, which take
+        # 3, 3 and 4 of the 10 steps
+        doc = with_change(dirac_weak_doc(), ("potential", "scale"),
+                          {"kind": "pulse", "eta": 1.001, "t_on": 0.25, "t_off": 0.5})
+        doc["dirac"]["rk4_steps"] = 10
+        compare_dirac_scenario(parse_scenario(write_scenario(tmp_path, doc)),
+                               str(tmp_path / "out"))
+        report = json.loads((tmp_path / "out" / "divergence_report.json").read_text())
+        assert report["rk4_dt"] == 0.125
+        assert report["max_phase_per_step"] == pytest.approx(47.0 * 0.125, rel=1e-2)
+        times = np.loadtxt(tmp_path / "out" / "norm_history.csv", delimiter=",",
+                           skiprows=1)[:, 0]
+        assert times.size == 11 and {0.25, 0.5} <= set(times.tolist())
+        assert np.diff(times).max() == pytest.approx(0.125, rel=1e-15)
 
     def test_tabulated_copy_matches_scaled_harmonic(self, tmp_path):
         doc = dirac_weak_doc()
