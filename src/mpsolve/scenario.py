@@ -15,9 +15,10 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -56,6 +57,12 @@ MAX_BASIS_BYTES = 2 * 1024**3
 MAX_SLICES = 2**18
 # rows per formatted block in _write_csv
 _CSV_BLOCK = 2048
+# coefficients.csv rows above which a forked worker formats half of them.  A row
+# takes about 4 us to format, and the worker costs about 5 ms (the fork, its
+# copy-on-write faults, the join and the append): on 2 cores the split broke
+# even near 4000 rows and saved about 20 ms at 16384, where a busy second CPU
+# would cost little more than those 5 ms
+_SPLIT_ROWS = 8 * _CSV_BLOCK
 
 
 class ScenarioError(ValueError):
@@ -507,6 +514,11 @@ def _write_csv(fh: TextIO, header: list[str], row: str, rows: Iterable[Sequence]
     `_fmt` gives them.  Rows are formatted _CSV_BLOCK at a time, so the
     writer's memory does not grow with the row count."""
     fh.write(",".join(header) + "\n")
+    _write_rows(fh, row, rows)
+
+
+def _write_rows(fh: TextIO, row: str, rows: Iterable[Sequence]) -> None:
+    """`_write_csv` without the header line."""
     rows = iter(rows)
     while block := list(islice(rows, _CSV_BLOCK)):
         fh.write((row + "\n") * len(block) % tuple(chain.from_iterable(block)))
@@ -536,7 +548,8 @@ def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
         yield create
     except (RuntimeError, ValueError, OSError, KeyError, MemoryError) as exc:
         for path in written:
-            os.remove(path)
+            with suppress(FileNotFoundError):  # a part file the body removed itself
+                os.remove(path)
         raise EngineError(str(exc) or type(exc).__name__) from exc
 
 
@@ -605,14 +618,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         )
 
         tick = time.perf_counter()
-        if "energy" in config.emit:
-            with create("energy.csv") as fh:
-                _write_csv(fh, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
-                           ((r.t_end, r.energy, r.norm_squared) for r in result.reports))
-        if "coefficients" in config.emit:
-            with create("coefficients.csv") as fh:
-                _write_csv(fh, ["slice", "k", "re", "im", "abs2"],
-                           "%d,%d,%.17g,%.17g,%.17g", _coefficient_rows(result.reports))
+        coefficients_s = _write_slice_files(create, config.emit, result.reports)
         if "summary" in config.emit:
             with create("summary.json") as fh:
                 _write_json(fh, {
@@ -628,9 +634,96 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                     "eigensolves": summary.eigensolves,
                     "timings": {"evolve_s": evolve_s,
                                 "eigensolve_s": eigensolve_s,
+                                "coefficients_s": coefficients_s,
                                 "output_s": time.perf_counter() - tick},
                 })
         return summary
+
+
+_COEFFICIENT_ROW = "%d,%d,%.17g,%.17g,%.17g"
+
+
+def _write_slice_files(create: Callable[[str], TextIO], emit: Sequence[str],
+                       reports: Sequence) -> float:
+    """energy.csv and coefficients.csv, each if `emit` names it; returns the
+    seconds spent on coefficients.csv.
+
+    A coefficients.csv of more than _SPLIT_ROWS rows is written on two
+    processes where two CPUs and `fork` are available: a forked worker
+    formats the rows of the second half of the slices into a part file
+    beside it, while this process writes energy.csv and the first half.
+    The part file is then appended in bounded chunks and removed.  Each row
+    is formatted on its own, so the bytes are those of a serial write.  The
+    worker is joined before this returns or raises, and a failure on either
+    side raises here as RuntimeError, with the part file registered through
+    `create` for the driver's clean-up."""
+    rows = len(reports) * reports[0].coefficients.size if reports else 0
+    context = worker = None
+    tick = time.perf_counter()
+    if "coefficients" in emit and rows > _SPLIT_ROWS and _available_cpus() > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    split = len(reports) // 2 if context else len(reports)
+    try:
+        if context:
+            with create("coefficients.csv.part") as part:
+                path = part.name
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(target=_format_part,
+                                   args=(path, reports[split:], writer, _current_cpu()))
+            proc.start()
+            worker = proc  # only a started process can be joined
+            writer.close()
+        spent = time.perf_counter() - tick
+        if "energy" in emit:
+            with create("energy.csv") as fh:
+                _write_csv(fh, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
+                           ((r.t_end, r.energy, r.norm_squared) for r in reports))
+        tick = time.perf_counter()
+        if "coefficients" in emit:
+            with create("coefficients.csv") as fh:
+                _write_csv(fh, ["slice", "k", "re", "im", "abs2"], _COEFFICIENT_ROW,
+                           _coefficient_rows(reports[:split]))
+                if worker is not None:
+                    worker.join()
+                    if worker.exitcode:
+                        try:
+                            message = reader.recv()
+                        except EOFError:  # the worker ended before it could say why
+                            message = ("coefficients.csv worker exited with code %d"
+                                       % worker.exitcode)
+                        raise RuntimeError(message)
+                    fh.flush()
+                    with open(path, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer)
+                    os.remove(path)
+    finally:
+        if worker is not None:
+            if worker.is_alive():  # this process failed; the part is of no use
+                worker.terminate()
+            worker.join()
+            reader.close()
+    return spent + time.perf_counter() - tick
+
+
+def _format_part(path: str, reports: Sequence, errors, parent_cpu: int | None) -> None:
+    """Body of `_write_slice_files`' worker: the coefficient rows of
+    `reports`, without a header, into `path`.  The worker first leaves
+    `parent_cpu`, the CPU its parent ran on, where it may run on another: a
+    forked process starts on its parent's CPU, and a scheduler that does not
+    balance load between CPUs leaves the two there to take turns.  A failure
+    goes to the connection `errors` as its message and ends the worker with
+    exit code 1, without a traceback."""
+    try:
+        if parent_cpu is not None and len(cpus := os.sched_getaffinity(0)) > 1:
+            os.sched_setaffinity(0, cpus - {parent_cpu})
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            _write_rows(fh, _COEFFICIENT_ROW, _coefficient_rows(reports))
+    except Exception as exc:
+        errors.send(str(exc) or type(exc).__name__)
+        raise SystemExit(1)
 
 
 def _coefficient_rows(reports: Sequence) -> Iterator[tuple]:
@@ -657,6 +750,17 @@ def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _current_cpu() -> int | None:
+    """The CPU this process runs on (field 39 of /proc/self/stat), or None
+    where that is not known."""
+    try:
+        with open("/proc/self/stat", encoding="utf-8") as fh:
+            # the fields after the command name, which is in parentheses
+            return int(fh.read().rpartition(")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def _one_blas_thread() -> None:

@@ -22,7 +22,7 @@ from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
 from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec
 from mpsolve.eigensolver import discretize, eigendecompose
-from mpsolve.projection import evolve
+from mpsolve.projection import ProjectionStepReport, evolve
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
     MAX_SLICES,
@@ -607,6 +607,119 @@ class TestWriteCsv:
                 tracemalloc.stop()
 
 
+def split_doc():
+    """A run whose coefficients.csv is split: 701 slices (an odd count) of 24
+    states give 16824 rows, more than _SPLIT_ROWS, in blocks of 85 slices, so
+    neither half fills its last block."""
+    doc = quench_doc(points=256, truncation=24, slices=701)
+    doc["outputs"]["emit"] = ["energy", "coefficients", "summary"]
+    return doc
+
+
+@pytest.fixture
+def formatted_here(monkeypatch):
+    """The report counts that `_coefficient_rows` is called with in this
+    process; a forked worker's calls are not seen."""
+    calls = []
+    rows = scenario_mod._coefficient_rows
+
+    def recorded(reports):
+        calls.append(len(reports))
+        return rows(reports)
+
+    monkeypatch.setattr(scenario_mod, "_coefficient_rows", recorded)
+    return calls
+
+
+class TestSplitCoefficients:
+    @pytest.mark.parametrize("bundled", [True, False], ids=["stationary", "odd_slices"])
+    def test_bytes_match_a_serial_write(self, bundled, tmp_path, monkeypatch,
+                                        formatted_here):
+        path = (bundled_scenario_path("stationary") if bundled
+                else write_scenario(tmp_path, split_doc()))
+        cfg = parse_scenario(path)
+        files = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: cpus)
+            out = tmp_path / str(cpus)
+            run_scenario(cfg, str(out))
+            assert sorted(p.name for p in out.iterdir()) == [
+                "coefficients.csv", "energy.csv", "summary.json"]
+            files.append([(out / name).read_bytes()
+                          for name in ("coefficients.csv", "energy.csv")])
+        slices = formatted_here[0]
+        assert formatted_here == [slices, slices // 2]
+        assert files[0] == files[1]
+        rows_written = files[0][0].count(b"\n") - 1
+        assert rows_written > scenario_mod._SPLIT_ROWS
+        if not bundled:
+            assert slices % 2 == 1 and rows_written % BLOCK != 0
+
+    @pytest.mark.parametrize("where", ["worker", "parent", "worker_exit"])
+    def test_failure_is_an_engine_failure(self, where, tmp_path, capfd, monkeypatch):
+        parent = os.getpid()
+        rows = scenario_mod._coefficient_rows
+
+        def failing(reports):
+            if os.getpid() == parent and where == "parent":
+                raise RuntimeError("in the parent")
+            if os.getpid() != parent and where == "worker":
+                raise RuntimeError("in the worker")
+            if os.getpid() != parent and where == "worker_exit":
+                os._exit(3)
+            return rows(reports)
+
+        monkeypatch.setattr(scenario_mod, "_coefficient_rows", failing)
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        out = tmp_path / "out"
+        assert cli_main(["run", write_scenario(tmp_path, split_doc()), "--out", str(out)]) == 2
+        message = {"worker": "in the worker", "parent": "in the parent",
+                   "worker_exit": "coefficients.csv worker exited with code 3"}[where]
+        assert capfd.readouterr() == ("", "engine failure: %s\n" % message)
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_worker_leaves_the_parents_cpu(self, tmp_path, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        assert scenario_mod._current_cpu() in allowed
+        cpu = min(allowed)
+        parent = os.getpid()
+        rows = scenario_mod._coefficient_rows
+
+        def recorded(reports):
+            if os.getpid() != parent:
+                (tmp_path / "worker_cpus").write_text(json.dumps(sorted(os.sched_getaffinity(0))))
+            return rows(reports)
+
+        monkeypatch.setattr(scenario_mod, "_coefficient_rows", recorded)
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(scenario_mod, "_current_cpu", lambda: cpu)
+        run_scenario(parse_scenario(write_scenario(tmp_path, split_doc())), str(tmp_path / "out"))
+        # with one CPU allowed the worker stays on it
+        assert json.loads((tmp_path / "worker_cpus").read_text()) == sorted(
+            allowed - {cpu} or allowed)
+        assert os.sched_getaffinity(0) == allowed
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch, formatted_here):
+        # 200 000 rows: 3125 slices of 64 states, the rows of 1563 of them
+        # formatted by the worker and appended here
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        c = np.linspace(-1.0, 1.0, 64) * (1.0 - 0.5j)
+        reports = [ProjectionStepReport(j, 0.1 * j, c / (j + 1), 1.0, 0.5, False)
+                   for j in range(3125)]
+        with scenario_mod._output_files(str(tmp_path)) as create:
+            tracemalloc.start()
+            try:
+                scenario_mod._write_slice_files(create, ("coefficients",), reports)
+                assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
+            finally:
+                tracemalloc.stop()
+        assert formatted_here == [1562]
+        assert os.listdir(tmp_path) == ["coefficients.csv"]
+        with open(tmp_path / "coefficients.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 200_001
+
+
 class TestRun:
     def test_quench_energy_ratio(self, tmp_path):
         cfg = parse_scenario(write_scenario(tmp_path, quench_doc()))
@@ -657,7 +770,7 @@ class TestRun:
                 for doc in (a, b):
                     doc.pop("wall_time_s")
                     assert set(doc.pop("timings")) == {"evolve_s", "eigensolve_s",
-                                                       "output_s"}
+                                                       "coefficients_s", "output_s"}
                 assert a == b
             else:
                 assert first == second
