@@ -9,6 +9,13 @@ is norm-preserving, so any observed norm drift is integrator error.
 V may jump or change slope at its breakpoints, so RK4 restarts at each one
 inside its window and takes V on every piece from inside that piece: a jump
 then costs no order of accuracy.
+
+An RK4 step costs little beyond its four M x M products: the phases of a
+block of steps come from one exp call, a `scaled_harmonic` V is one
+read-only matrix per distinct S(t), cast to complex once, and finiteness is
+checked per block.  Every product keeps the operands and order of the
+textbook step, so the amplitudes are bit for bit those of a step-by-step
+loop.
 """
 
 from __future__ import annotations
@@ -64,8 +71,10 @@ def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
     A `scaled_harmonic` potential is (S(t) - S(t0)) k x^2 / 2 apart from
     V(t0), so its one spatial profile is projected onto the basis once (an
     N x M x M product) and a call only scales an M x M matrix; `harmonic(k)`
-    is the case S = 1, whose difference is zero.  A `tabulated` call
-    evaluates V(t) - V(t0) on the grid and projects it.
+    is the case S = 1, whose difference is zero.  The matrix is read-only,
+    and a call whose S(t) equals the call before's returns the same object.
+    A `tabulated` call evaluates V(t) - V(t0) on the grid and projects it
+    into a new array.
 
     Raises ValueError where evaluating V(x, t) would: for a time outside
     the samples or a non-finite potential.
@@ -85,12 +94,21 @@ def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
     s0 = pot.profile(t0)
     x2_max = float(x2.max())
 
+    last = (None, None)  # (S, V) of the last call, swapped as one pair
+
     def scaled(t: float) -> np.ndarray:
+        nonlocal last
         s = pot.profile(t)
+        held_s, held_v = last
+        if s == held_s:
+            return held_v
         # the node where V(x, t) is largest overflows first
         if not math.isfinite(0.5 * s * pot.k * x2_max):
             raise ValueError("potential evaluated to a non-finite value")
-        return (s - s0) * spring
+        v = (s - s0) * spring
+        v.flags.writeable = False
+        last = (s, v)
+        return v
     return scaled
 
 
@@ -99,6 +117,11 @@ def perturbation_elements(h: HamiltonianSpec, basis: EigenBasis, t: float,
     """Matrix elements V_km(t) = <k| V(x,t) - V(x,t0) |m>; one call of
     `perturbation_operator(h, basis, t0)`."""
     return perturbation_operator(h, basis, t0)(t)
+
+
+# RK4 steps whose stage phases one exp call computes: the phase tables hold
+# (2 _BLOCK + 1) M complex numbers each, whatever the step count
+_BLOCK = 128
 
 
 def rk4_pieces(breakpoints, t_span: tuple[float, float],
@@ -143,11 +166,18 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     V is called only strictly inside the piece being stepped: a stage at a
     piece end takes V one ulp inside, which is the one-sided limit of every
     supported V, while the phases exp(i w t) keep the true stage time.  V
-    and the phases are computed once per distinct stage time: the midpoint
-    serves k2 and k3, and a step's end serves the next step's k1.
+    is called once per distinct stage time, the midpoint and then the end
+    of each step, and the step's end serves the next step's k1.  The phases
+    of up to _BLOCK steps' stage times come from one exp call.  A real V is
+    cast to complex for its products after both calls of a step, and a
+    read-only V that owns its data, which cannot change, only the first
+    time it is returned.
 
-    Aborts with the step index if an amplitude goes non-finite, which is a
-    reportable outcome under strong coupling, not a bug.
+    Aborts with the index of the first step whose amplitudes are not all
+    finite, a reportable outcome under strong coupling, not a bug.  The
+    steps are checked a block at a time, without floating-point warnings,
+    and no block after the bad one is stepped.  Memory beyond the returned
+    trajectory is O(_BLOCK M) whatever `steps` is.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -156,41 +186,77 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     if not np.all(np.isfinite(c)):
         raise ValueError("initial amplitudes must be finite")
     cuts, counts = rk4_pieces(breakpoints, t_span, steps)
+    held = None  # (V, its complex copy) for the last read-only V
 
-    def phases(t):
-        # exp(i (w_k - w_m) t) V_km = p_k V_km conj(p_m) with p = exp(i w t);
-        # the right-hand side at t is then q * (V @ (C * conj(p))), q = -i p / hbar
-        p = np.exp(1j * np.multiply.outer(t, omegas))
-        return (-1j / hbar) * p, p.conj()
+    def as_complex(v):
+        nonlocal held
+        if held is not None and v is held[0]:
+            return held[1]
+        vc = np.asarray(v, dtype=complex)
+        if isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable:
+            held = (v, vc)
+        return vc
 
+    # exp(i (w_k - w_m) t) V_km = p_k V_km conj(p_m) with p = exp(i w t); the
+    # right-hand side at t is then q * (V @ (C * conj(p))), q = -i p / hbar.
+    # Each product below is one of the textbook step
+    #   k1 = q1 (V1 @ (C pc1)),  k2 = q_mid (V_mid @ ((C + dt/2 k1) pc_mid)),
+    #   k3 likewise from k2,     k4 = q_next (V_next @ ((C + dt k3) pc_next)),
+    #   C + dt/6 (k1 + 2 k2 + 2 k3 + k4),
+    # with its operands in the same order, so the bits are the same.  A
+    # Python number there is a complex128 broadcast; a 0-d complex array is
+    # the same operand, found faster.
+    mul, add, matmul = np.multiply, np.add, np.matmul
+    two = np.array(2, dtype=complex)
     times = np.empty(steps + 1)
     history = np.empty((steps + 1, c.size), dtype=complex)
     history[0] = c
+    y, k1, k2, k3, k4 = np.empty((5, c.size), dtype=complex)
     row = 0
     for a, b, n in zip(cuts[:-1].tolist(), cuts[1:].tolist(), counts.tolist()):
         dt = (b - a) / n
-        grid = a + np.arange(n + 1) * dt
-        grid[-1] = b
-        times[row:row + n + 1] = grid
+        half = 0.5 * dt
+        dt_, half_, sixth_ = (np.array(x, dtype=complex) for x in (dt, half, dt / 6.0))
         lo, hi = np.nextafter(a, b), np.nextafter(b, a)
 
         def v_inside(t):
             return v_of_t(min(max(t, lo), hi))
 
-        v1, (q1, pc1) = v_inside(a), phases(a)
-        for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
-            (q_mid, q_next), (pc_mid, pc_next) = phases((t + 0.5 * dt, t_next))
-            v_mid, v_next = v_inside(t + 0.5 * dt), v_inside(t_next)
-            k1 = q1 * (v1 @ (c * pc1))
-            k2 = q_mid * (v_mid @ ((c + 0.5 * dt * k1) * pc_mid))
-            k3 = q_mid * (v_mid @ ((c + 0.5 * dt * k2) * pc_mid))
-            k4 = q_next * (v_next @ ((c + dt * k3) * pc_next))
-            c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            row += 1
-            if not np.all(np.isfinite(c)):
-                raise RuntimeError("non-finite amplitude at step %d" % row)
-            history[row] = c
-            v1, q1, pc1 = v_next, q_next, pc_next
+        v1 = v_inside(a)
+        for first in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - first)
+            # the grid a + i dt, ending on b, and its midpoints, interleaved
+            grid = a + np.arange(first, first + size + 1) * dt
+            if first + size == n:
+                grid[-1] = b
+            times[row:row + size + 1] = grid
+            stages = np.empty(2 * size + 1)
+            stages[0::2] = grid
+            stages[1::2] = grid[:-1] + half
+            p = 1j * np.multiply.outer(stages, omegas)
+            np.exp(p, out=p)
+            q = list((-1j / hbar) * p)
+            pc = list(np.conjugate(p, out=p))
+            block = history[row + 1:row + 1 + size]
+            with np.errstate(all="ignore"):  # a blow-up is reported below
+                for i, t_mid, t_next, out in zip(range(0, 2 * size, 2), stages[1::2].tolist(),
+                                                 stages[2::2].tolist(), block):
+                    v_mid, v_next = v_inside(t_mid), v_inside(t_next)
+                    m1, m_mid, m_next = as_complex(v1), as_complex(v_mid), as_complex(v_next)
+                    mul(q[i], matmul(m1, mul(c, pc[i], y), k1), k1)
+                    add(c, mul(half_, k1, y), y)
+                    mul(q[i + 1], matmul(m_mid, mul(y, pc[i + 1], y), k2), k2)
+                    add(c, mul(half_, k2, y), y)
+                    mul(q[i + 1], matmul(m_mid, mul(y, pc[i + 1], y), k3), k3)
+                    add(c, mul(dt_, k3, y), y)
+                    mul(q[i + 2], matmul(m_next, mul(y, pc[i + 2], y), k4), k4)
+                    add(add(add(k1, mul(two, k2, k2), k1), mul(two, k3, k3), k1), k4, k1)
+                    c = add(c, mul(sixth_, k1, k1), out)
+                    v1 = v_next
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if bad.size:
+                raise RuntimeError("non-finite amplitude at step %d" % (row + 1 + bad[0]))
+            row += size
     return AmplitudeTrajectory(times=times, amplitudes=history)
 
 

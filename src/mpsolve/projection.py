@@ -66,12 +66,15 @@ class EvolutionResult:
     before), "refined" (warm start accepted) or "lapack" (cold solve or
     fallback); "fallbacks" counts the rejected warm starts among the
     "lapack" ones.  `eigensolve_s` is the wall time spent in those
-    `eigendecompose` calls."""
+    `eigendecompose` calls, and `project_s` the wall time spent carrying the
+    state into each new basis and back onto the grid (`project` and
+    `_rebuild`)."""
 
     final_state: WaveFunction
     reports: tuple[ProjectionStepReport, ...]
     eigensolves: dict[str, int] = field(default_factory=dict)
     eigensolve_s: float = 0.0
+    project_s: float = 0.0
 
 
 def slice_boundaries(potential: PotentialSpec, t0: float, t1: float,
@@ -182,7 +185,8 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
     exact time average over the slice; "cfm4" applies it as two half-width
     factors built from the slice's exact first two moments of V.  A factor whose matrix
     equals the previous factor's reuses its eigenpairs and only multiplies
-    the coefficients by its phases; any other factor is solved anew,
+    the coefficients by its phases, computed once per step width in each
+    basis; any other factor is solved anew,
     warm-started from the previous factor's eigenpairs, and the state is
     rebuilt on the grid in the old basis and projected onto the new one, so
     at most two bases are held.  `project` runs once per change of basis and
@@ -206,8 +210,9 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
         raise ValueError("non-finite state")
 
     diagonal = basis = coeffs = None
+    phases = {}  # step width -> exp(-i E dt / hbar) in the current basis
     counts = dict.fromkeys(("reused", "refined", "lapack", "fallbacks"), 0)
-    eigensolve_s = 0.0
+    eigensolve_s = project_s = 0.0
     reports = []
     bounds = slice_boundaries(h.potential, t0, t1, slices)
     # V without breakpoints does not depend on t (every kind that does has
@@ -220,10 +225,14 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
         for matrix, share in static or _slice_factors(h, grid, bounds[j], bounds[j + 1],
                                                       scheme):
             dt = share * width
-            # only the diagonal depends on the time
-            if diagonal is None or not np.array_equal(matrix.diagonal, diagonal):
+            # only the diagonal depends on the time; a static V's factors
+            # hold the very diagonal already solved
+            if diagonal is None or (matrix.diagonal is not diagonal
+                                    and not np.array_equal(matrix.diagonal, diagonal)):
+                tick = time.perf_counter()
                 if basis is not None:
                     state = _rebuild(coeffs, basis, j)
+                project_s += time.perf_counter() - tick
                 tick = time.perf_counter()
                 try:
                     basis = eigendecompose(matrix, grid, truncation, guess=basis)
@@ -231,13 +240,19 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
                     raise RuntimeError("eigensolver failed at slice %d" % j) from exc
                 eigensolve_s += time.perf_counter() - tick
                 diagonal = matrix.diagonal
+                phases.clear()
                 refreshed = True
                 counts["refined" if basis.origin == "refined" else "lapack"] += 1
                 counts["fallbacks"] += basis.origin == "fallback"
+                tick = time.perf_counter()
                 coeffs = project(state, basis)
+                project_s += time.perf_counter() - tick
             else:
                 counts["reused"] += 1
-            coeffs = coeffs * np.exp(-1j * basis.energies * dt / h.hbar)
+            phase = phases.get(dt)
+            if phase is None:
+                phase = phases[dt] = np.exp(-1j * basis.energies * dt / h.hbar)
+            coeffs = coeffs * phase
             if not np.all(np.isfinite(coeffs)):
                 raise RuntimeError("non-finite state at slice %d" % j)
 
@@ -254,9 +269,12 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
             basis_refreshed=refreshed,
         ))
 
+    tick = time.perf_counter()
     state = _rebuild(coeffs, basis, bounds.size - 2)
+    project_s += time.perf_counter() - tick
     return EvolutionResult(final_state=state, reports=tuple(reports),
-                           eigensolves=counts, eigensolve_s=eigensolve_s)
+                           eigensolves=counts, eigensolve_s=eigensolve_s,
+                           project_s=project_s)
 
 
 def _rebuild(coeffs: np.ndarray, basis: EigenBasis, j: int) -> WaveFunction:

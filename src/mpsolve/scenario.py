@@ -595,7 +595,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         result = evolve(psi0, config.hamiltonian, config.t0, config.t1, config.slices,
                         config.truncation)
         evolve_s = time.perf_counter() - tick
-        eigensolve_s = result.eigensolve_s
+        eigensolve_s, project_s = result.eigensolve_s, result.project_s
 
         phase = None
         if config.reference:
@@ -604,6 +604,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                          config.slices, config.truncation)
             evolve_s += time.perf_counter() - tick
             eigensolve_s += ref.eigensolve_s
+            project_s += ref.project_s
             phase = float(np.angle(inner_product(ref.final_state, result.final_state)))
 
         last = result.reports[-1]
@@ -634,6 +635,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                     "eigensolves": summary.eigensolves,
                     "timings": {"evolve_s": evolve_s,
                                 "eigensolve_s": eigensolve_s,
+                                "project_s": project_s,
                                 "coefficients_s": coefficients_s,
                                 "output_s": time.perf_counter() - tick},
                 })

@@ -10,6 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -43,3 +44,16 @@ def test_observed_names_exist():
     assert {"coefficients", "basis_refreshed"} <= fields(ProjectionStepReport)
     # _observe_integrate counts the steps from the sample times
     assert "times" in fields(AmplitudeTrajectory)
+
+
+def test_trajectory_has_one_time_per_step():
+    # _observe_integrate counts times.size - 1 as the RK4 steps taken; on a
+    # window the breakpoints cut into pieces, each piece end is one time
+    from mpsolve.dirac import integrate_amplitudes, rk4_pieces
+
+    knots, span, steps = [0.3, 0.8, 1.1], (0.0, 2.0), 301
+    assert rk4_pieces(knots, span, steps)[1].size == 4
+    traj = integrate_amplitudes(lambda t: np.eye(3), np.array([0.5, 1.5, 2.5]),
+                                np.eye(3)[0], span, steps, knots)
+    assert traj.times.size - 1 == steps
+    assert np.all(np.diff(traj.times) > 0)

@@ -18,6 +18,7 @@ from mpsolve.dirac import (
     rk4_pieces,
 )
 from mpsolve.eigensolver import discretize, eigendecompose
+from mpsolve.scenario import bundled_scenario_path, parse_scenario
 
 
 GRID = Grid(-10.0, 10.0, 400)
@@ -112,6 +113,16 @@ class TestPerturbationOperator:
             assert np.linalg.norm(op(t) - want) <= 1e-13 * scale, t
             assert np.array_equal(perturbation_elements(h, basis, t, t0), op(t))
         assert np.abs(op(t0)).max() == 0.0
+
+    def test_scaled_matrix_is_shared_and_read_only(self):
+        _, basis = oscillator_basis(8)
+        op = perturbation_operator(scaled(ScaleProfile.pulse(2.0, 0.5, 1.5)), basis, 0.0)
+        inside = op(0.7)
+        assert not inside.flags.writeable
+        assert op(1.2) is inside  # the same S(t)
+        outside = op(1.7)
+        assert outside is not inside and op(1.8) is outside
+        assert op(0.9) is not inside and np.array_equal(op(0.9), inside)
 
     def test_harmonic_is_zero(self):
         h, basis = oscillator_basis(16)
@@ -230,6 +241,148 @@ class TestIntegrateAmplitudes:
         c0[0] = 1.0
         traj = integrate_amplitudes(lambda t: v, omegas, c0, (0.0, 10.0), 400)
         assert np.abs(traj.norm_history - 1.0).max() < 1e-8
+
+
+def reference_rk4(v_of_t, omegas, c0, t_span, steps, breakpoints=(), hbar=1.0):
+    """RK4 as a plain step-by-step loop: the phases and two V calls per step,
+    V cast to complex inside each product, finiteness checked after every
+    step.  integrate_amplitudes must give these bits."""
+    omegas = np.asarray(omegas, dtype=float)
+    c = np.asarray(c0, dtype=complex).copy()
+    cuts, counts = rk4_pieces(breakpoints, t_span, steps)
+
+    def phases(t):
+        p = np.exp(1j * np.multiply.outer(t, omegas))
+        return (-1j / hbar) * p, p.conj()
+
+    times = np.empty(steps + 1)
+    history = np.empty((steps + 1, c.size), dtype=complex)
+    history[0] = c
+    row = 0
+    for a, b, n in zip(cuts[:-1].tolist(), cuts[1:].tolist(), counts.tolist()):
+        dt = (b - a) / n
+        grid = a + np.arange(n + 1) * dt
+        grid[-1] = b
+        times[row:row + n + 1] = grid
+        lo, hi = np.nextafter(a, b), np.nextafter(b, a)
+
+        def v_inside(t):
+            return v_of_t(min(max(t, lo), hi))
+
+        v1, (q1, pc1) = v_inside(a), phases(a)
+        for t, t_next in zip(grid[:-1].tolist(), grid[1:].tolist()):
+            (q_mid, q_next), (pc_mid, pc_next) = phases((t + 0.5 * dt, t_next))
+            v_mid, v_next = v_inside(t + 0.5 * dt), v_inside(t_next)
+            k1 = q1 * (v1 @ (c * pc1))
+            k2 = q_mid * (v_mid @ ((c + 0.5 * dt * k1) * pc_mid))
+            k3 = q_mid * (v_mid @ ((c + 0.5 * dt * k2) * pc_mid))
+            k4 = q_next * (v_next @ ((c + dt * k3) * pc_next))
+            c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            row += 1
+            if not np.all(np.isfinite(c)):
+                raise RuntimeError("non-finite amplitude at step %d" % row)
+            history[row] = c
+            v1, q1, pc1 = v_next, q_next, pc_next
+    return times, history
+
+
+COUPLING = 0.3 * np.array([[1.0, 0.5, 0.2, 0.0, 0.1],
+                           [0.5, -1.0, 0.4, 0.3, 0.0],
+                           [0.2, 0.4, 0.7, -0.2, 0.6],
+                           [0.0, 0.3, -0.2, 0.4, 0.5],
+                           [0.1, 0.0, 0.6, 0.5, -0.8]])
+FIVE_LEVELS = np.array([0.5, 1.5, 2.5, 3.7, 4.1])
+
+
+def bundled_case(name):
+    """compare-dirac's RK4 inputs for a bundled scenario."""
+    cfg = parse_scenario(bundled_scenario_path(name))
+    h = cfg.hamiltonian
+    basis = eigendecompose(discretize(h, cfg.grid, cfg.t0), cfg.grid, cfg.dirac["states"])
+    c0 = np.eye(basis.truncation, dtype=complex)[cfg.eigenstate]
+    t1 = float(cfg.dirac.get("t1", cfg.t1))
+    return (lambda: perturbation_operator(h, basis, cfg.t0), basis.energies / h.hbar, c0,
+            (cfg.t0, t1), int(cfg.dirac["rk4_steps"]), h.potential.breakpoints(), h.hbar)
+
+
+def operator_case(h, truncation, t_span, steps, hbar=1.0):
+    _, basis = oscillator_basis(truncation)
+    c0 = np.zeros(truncation, dtype=complex)
+    c0[0], c0[1] = 0.8, 0.6j
+    return (lambda: perturbation_operator(h, basis, t_span[0]), basis.energies, c0,
+            t_span, steps, h.potential.breakpoints(), hbar)
+
+
+def fresh_arrays():
+    return lambda t: np.cos(t) * COUPLING
+
+
+def one_buffer():
+    buffer = np.empty_like(COUPLING)
+
+    def v_of_t(t):
+        np.multiply(np.cos(t), COUPLING, out=buffer)
+        return buffer
+    return v_of_t
+
+
+class TestBitIdentity:
+    CASES = {
+        "dirac_weak": lambda: bundled_case("dirac_weak"),
+        "quench_eta025": lambda: bundled_case("quench_eta025"),
+        # an odd M and hbar != 1, across block boundaries
+        "sampled_ramp": lambda: operator_case(
+            scaled(ScaleProfile.sampled([0.0, 1.0, 3.0], [1.0, 1.5, 0.8])), 7, (0.0, 3.0),
+            300, hbar=0.7),
+        "tabulated": lambda: operator_case(tabulated(np.linspace(0.0, 2.0, 5)), 9,
+                                           (0.0, 2.0), 150),
+        "pulse_pieces": lambda: operator_case(scaled(ScaleProfile.pulse(1.8, 0.5, 1.3)), 8,
+                                              (0.0, 2.0), 400),
+        "fresh_arrays": lambda: (fresh_arrays, FIVE_LEVELS, np.eye(5)[0], (0.0, 6.0), 300,
+                                 (), 1.0),
+        "one_buffer": lambda: (one_buffer, FIVE_LEVELS, np.eye(5)[0], (0.0, 6.0), 300,
+                               (), 1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_the_step_by_step_loop(self, name):
+        make_v, omegas, c0, t_span, steps, knots, hbar = self.CASES[name]()
+        times, history = reference_rk4(make_v(), omegas, c0, t_span, steps, knots, hbar)
+        traj = integrate_amplitudes(make_v(), omegas, c0, t_span, steps, knots, hbar)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.amplitudes, history)
+        if name == "quench_eta025":  # blows up, yet every amplitude stays finite
+            assert traj.norm_history.max() > 1e80
+
+    def test_blow_up_stops_at_the_same_step(self):
+        strong = 150.0 * COUPLING
+        strong.flags.writeable = False
+        args = (lambda t: strong, FIVE_LEVELS, np.eye(5)[0], (0.0, 30.0), 300)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as want:
+            reference_rk4(*args)
+        message = str(want.value)
+        # a step inside the second block, so the block check has to find it
+        assert message == "non-finite amplitude at step 173"
+        with pytest.raises(RuntimeError) as got:
+            integrate_amplitudes(*args)
+        assert str(got.value) == message
+
+    def test_memory_does_not_grow_with_steps(self):
+        coupling = COUPLING.copy()
+        coupling.flags.writeable = False
+
+        def extra(steps):
+            tracemalloc.start()
+            try:
+                traj = integrate_amplitudes(lambda t: coupling, FIVE_LEVELS, np.eye(5)[0],
+                                            (0.0, 1.0), steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - traj.times.nbytes - traj.amplitudes.nbytes
+
+        # a phase table for every step would hold 40 000 * 2 * 5 complex (6.4 MB)
+        assert abs(extra(40_000) - extra(400)) < 4096
 
 
 class TestBreakpoints:

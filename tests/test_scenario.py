@@ -769,7 +769,7 @@ class TestRun:
                 b = json.loads(second)
                 for doc in (a, b):
                     doc.pop("wall_time_s")
-                    assert set(doc.pop("timings")) == {"evolve_s", "eigensolve_s",
+                    assert set(doc.pop("timings")) == {"evolve_s", "eigensolve_s", "project_s",
                                                        "coefficients_s", "output_s"}
                 assert a == b
             else:
@@ -811,6 +811,7 @@ class TestRun:
         assert counts["refined"] > 0 and counts["fallbacks"] <= counts["lapack"]
         timings = summary["timings"]
         assert 0.0 < timings["eigensolve_s"] <= timings["evolve_s"]
+        assert 0.0 < timings["project_s"] <= timings["evolve_s"] - timings["eigensolve_s"]
 
     def test_initial_state_solved_once_with_reference(self, tmp_path, monkeypatch):
         solves = []
