@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -48,12 +49,14 @@ DEFAULT_GRID = {"x_min": -12.0, "x_max": 12.0, "points": 1024}
 DEFAULT_UNITS = {"hbar": 1.0, "mass": 1.0}
 DEFAULT_TRUNCATION = 64
 EMIT_CHOICES = ("energy", "coefficients", "summary")
-# most bytes a scenario's retained eigenbasis (grid.points x states doubles) or its
-# RK4 amplitude history may take
+# most bytes a scenario's retained eigenbasis (grid.points x states doubles), its
+# RK4 amplitude history or its per-slice coefficients may take
 MAX_BASIS_BYTES = 2 * 1024**3
 # most slices one evolution may take, `schedule.slices` and the finest `converge`
-# rung alike: `evolve` holds a report per slice, about 1.4 KB at 64 states, so
-# 2**18 slices hold about 370 MB, and at 1-3 ms per slice they take minutes
+# rung alike: at 1-3 ms per slice 2**18 slices take minutes.  `evolve` also
+# holds a report per slice, about 1.4 KB at 64 states (370 MB at 2**18), so the
+# slices it takes times its retained states x 16 bytes must fit in
+# MAX_BASIS_BYTES as well
 MAX_SLICES = 2**18
 # rows per formatted block in _write_csv
 _CSV_BLOCK = 2048
@@ -321,8 +324,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     # truncation None here is either null (the full basis) or already a violation
     basis_fits = False
     if points is not None and (truncation is not None or basis_cfg.get("truncation") is None):
-        basis_fits = _fits("basis", "eigenbasis", points, min(points, truncation or points),
-                           8, errors)
+        retained = min(points, truncation or points)
+        basis_fits = _fits("basis", "eigenbasis", points, retained, 8, errors)
 
     init = _section(raw, "initial_state", errors)
     _check_keys(init, {"eigenstate", "amplitude_file"}, "initial_state", errors)
@@ -414,12 +417,16 @@ def parse_scenario(path: str) -> ScenarioConfig:
                 errors.append("initial_state.eigenstate: must be < dirac.states")
 
     # the windows evolve runs on: [t0, t1], and [t0, dirac.t1] for compare-dirac
+    ran = []
     for name, t_end in covered[1:]:
         if None not in (t0, t_end, slices) and t0 < t_end and 1 <= slices <= MAX_SLICES:
             try:
-                slice_boundaries(potential, t0, t_end, slices)
+                ran.append(slice_boundaries(potential, t0, t_end, slices).size - 1)
             except ValueError as exc:
                 errors.append("schedule: %s" % exc)
+    if ran and basis_fits:  # evolve keeps every slice's retained coefficients
+        _fits("schedule.slices", "per-slice coefficient history", max(ran), retained, 16,
+              errors)
 
     if potential.kind == "tabulated" or potential.profile.kind == "sampled":
         knots = potential.breakpoints()
@@ -651,33 +658,22 @@ def _write_slice_files(create: Callable[[str], TextIO], emit: Sequence[str],
     seconds spent on coefficients.csv.
 
     A coefficients.csv of more than _SPLIT_ROWS rows is written on two
-    processes where two CPUs and `fork` are available: a forked worker
+    processes where `_available_cpus` gives two: one `_forked` worker
     formats the rows of the second half of the slices into a part file
     beside it, while this process writes energy.csv and the first half.
     The part file is then appended in bounded chunks and removed.  Each row
-    is formatted on its own, so the bytes are those of a serial write.  The
-    worker is joined before this returns or raises, and a failure on either
-    side raises here as RuntimeError, with the part file registered through
-    `create` for the driver's clean-up."""
+    is formatted on its own, so the bytes are those of a serial write.  A
+    failure on either side raises here as RuntimeError, with the part file
+    registered through `create` for the driver's clean-up."""
     rows = len(reports) * reports[0].coefficients.size if reports else 0
-    context = worker = None
     tick = time.perf_counter()
+    split, calls = len(reports), []
     if "coefficients" in emit and rows > _SPLIT_ROWS and _available_cpus() > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-    split = len(reports) // 2 if context else len(reports)
-    try:
-        if context:
-            with create("coefficients.csv.part") as part:
-                path = part.name
-            reader, writer = context.Pipe(duplex=False)
-            proc = context.Process(target=_format_part,
-                                   args=(path, reports[split:], writer, _current_cpu()))
-            proc.start()
-            worker = proc  # only a started process can be joined
-            writer.close()
+        with create("coefficients.csv.part") as part:
+            path = part.name
+        split //= 2
+        calls.append(partial(_format_part, path, reports[split:]))
+    with _forked("coefficients.csv", calls) as results:
         spent = time.perf_counter() - tick
         if "energy" in emit:
             with create("energy.csv") as fh:
@@ -688,44 +684,20 @@ def _write_slice_files(create: Callable[[str], TextIO], emit: Sequence[str],
             with create("coefficients.csv") as fh:
                 _write_csv(fh, ["slice", "k", "re", "im", "abs2"], _COEFFICIENT_ROW,
                            _coefficient_rows(reports[:split]))
-                if worker is not None:
-                    worker.join()
-                    if worker.exitcode:
-                        try:
-                            message = reader.recv()
-                        except EOFError:  # the worker ended before it could say why
-                            message = ("coefficients.csv worker exited with code %d"
-                                       % worker.exitcode)
-                        raise RuntimeError(message)
+                if calls:
+                    results()
                     fh.flush()
                     with open(path, "rb") as src:
                         shutil.copyfileobj(src, fh.buffer)
                     os.remove(path)
-    finally:
-        if worker is not None:
-            if worker.is_alive():  # this process failed; the part is of no use
-                worker.terminate()
-            worker.join()
-            reader.close()
     return spent + time.perf_counter() - tick
 
 
-def _format_part(path: str, reports: Sequence, errors, parent_cpu: int | None) -> None:
+def _format_part(path: str, reports: Sequence) -> None:
     """Body of `_write_slice_files`' worker: the coefficient rows of
-    `reports`, without a header, into `path`.  The worker first leaves
-    `parent_cpu`, the CPU its parent ran on, where it may run on another: a
-    forked process starts on its parent's CPU, and a scheduler that does not
-    balance load between CPUs leaves the two there to take turns.  A failure
-    goes to the connection `errors` as its message and ends the worker with
-    exit code 1, without a traceback."""
-    try:
-        if parent_cpu is not None and len(cpus := os.sched_getaffinity(0)) > 1:
-            os.sched_setaffinity(0, cpus - {parent_cpu})
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_rows(fh, _COEFFICIENT_ROW, _coefficient_rows(reports))
-    except Exception as exc:
-        errors.send(str(exc) or type(exc).__name__)
-        raise SystemExit(1)
+    `reports`, without a header, into `path`."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _write_rows(fh, _COEFFICIENT_ROW, _coefficient_rows(reports))
 
 
 def _coefficient_rows(reports: Sequence) -> Iterator[tuple]:
@@ -748,7 +720,9 @@ def _coefficient_rows(reports: Sequence) -> Iterator[tuple]:
 
 
 def _available_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run work on: 1 where it cannot fork workers."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -766,7 +740,7 @@ def _current_cpu() -> int | None:
 
 
 def _one_blas_thread() -> None:
-    """Cap every OpenBLAS loaded in this process at one thread.  A pool
+    """Cap every OpenBLAS loaded in this process at one thread.  A `_forked`
     worker has a CPU to itself, and OpenBLAS's helper threads would spin on
     the other workers' CPUs: on 2 cores `converge smooth_ramp --doublings 5`
     took 9-10 s with them and 1.7 s without.  The libraries are found among
@@ -789,43 +763,103 @@ def _one_blas_thread() -> None:
                 setter(1)
 
 
-def _evolve_job(config: ScenarioConfig, psi0: WaveFunction, n_slices: int,
-                scheme: str) -> tuple[np.ndarray, dict[str, int]]:
-    """One run of `converge`: the final amplitudes and the run's eigensolve
-    counts.  Module-level, so that a worker process can run it."""
-    result = evolve(psi0, config.hamiltonian, config.t0, config.t1, n_slices,
-                    config.truncation, scheme=scheme)
-    return result.final_state.amplitudes, result.eigensolves
+@contextmanager
+def _forked(name: str, calls: Sequence[Callable[[], Any]]) -> Iterator[Callable[[], list]]:
+    """Start one forked worker process per call and yield a function that
+    returns the calls' results, in call order.
+
+    Worker i first pins itself to one CPU, the i-th of those this process
+    may run on, ordered with this process's CPU last: a forked process
+    starts on its parent's CPU, and a scheduler that does not balance load
+    between CPUs leaves the two there to take turns.  It then caps OpenBLAS
+    at one thread (`_one_blas_thread`), runs its call and sends the result
+    back through a pipe of its own.  An exception in a call is sent as its
+    message instead, and the worker exits 1 without a traceback; the
+    message then raises here as RuntimeError, and so does a worker that
+    ends without sending anything ("<name> worker exited with code N").
+    Each result is read before its worker is joined, since it may be
+    larger than the pipe's buffer.  On every way out of the block, a
+    worker still running is terminated, and every worker is joined."""
+    workers = []
+    try:
+        if calls:  # multiprocessing takes about 8 ms to import
+            import multiprocessing
+
+            fork = multiprocessing.get_context("fork")
+            here = _current_cpu()
+            cpus = (sorted(os.sched_getaffinity(0), key=lambda cpu: (cpu == here, cpu))
+                    if hasattr(os, "sched_getaffinity") else [None])
+        for i, call in enumerate(calls):
+            reader, writer = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_worker, args=(call, writer, cpus[i % len(cpus)]))
+            proc.start()
+            workers.append((proc, reader))  # only a started process can be joined
+            writer.close()  # so that a worker's exit ends its pipe
+
+        def results() -> list:
+            out = []
+            for proc, reader in workers:
+                try:
+                    ok, value = reader.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError("%s worker exited with code %d" % (name, proc.exitcode))
+                if not ok:
+                    raise RuntimeError(value)
+                out.append(value)
+            return out
+
+        yield results
+    finally:
+        for proc, reader in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            reader.close()
+
+
+def _worker(call: Callable[[], Any], conn, cpu: int | None) -> None:
+    """Body of a `_forked` worker."""
+    try:
+        if cpu is not None:
+            os.sched_setaffinity(0, {cpu})
+        _one_blas_thread()
+        conn.send((True, call()))
+    except Exception as exc:
+        conn.send((False, str(exc) or type(exc).__name__))
+        raise SystemExit(1)
+
+
+def _evolve_jobs(config: ScenarioConfig, psi0: WaveFunction,
+                 jobs: Sequence[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int]]]:
+    """The runs of `converge`, one per (slices, scheme) job: each run's
+    final amplitudes and eigensolve counts."""
+    results = (evolve(psi0, config.hamiltonian, config.t0, config.t1, n_slices,
+                      config.truncation, scheme=scheme) for n_slices, scheme in jobs)
+    return [(result.final_state.amplitudes, result.eigensolves) for result in results]
 
 
 def _run_jobs(config: ScenarioConfig, psi0: WaveFunction,
              jobs: list[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int]]]:
-    """`_evolve_job` of each (slices, scheme) job, in job order, on up to
-    min(jobs, CPUs) forked workers, or here where fork is unavailable or
-    one worker would do.  Jobs are submitted by descending factor count:
-    longest processing time first keeps the workers' loads close.  A
-    worker's exception re-raises here with its own type, and a broken pool
-    raises BrokenProcessPool, a RuntimeError."""
-    import multiprocessing
-
+    """`_evolve_jobs` of `jobs`, in job order, shared among min(jobs, CPUs)
+    `_forked` workers, or run here where one worker would do.  Longest
+    processing time first (Graham 1969) keeps the workers' loads close:
+    each job, the most factors first (a cfm4 slice is two), goes to the
+    least-loaded worker.  No job runs here while workers do."""
     workers = min(len(jobs), _available_cpus())
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_evolve_job(config, psi0, *job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    def factors(i: int) -> int:
-        n_slices, scheme = jobs[i]
-        return 2 * n_slices if scheme == "cfm4" else n_slices
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_one_blas_thread) as pool:
-        futures = {i: pool.submit(_evolve_job, config, psi0, *jobs[i])
-                   for i in sorted(range(len(jobs)), key=factors, reverse=True)}
-        try:
-            return [futures[i].result() for i in range(len(jobs))]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    if workers == 1:
+        return _evolve_jobs(config, psi0, jobs)
+    factors = [2 * n_slices if scheme == "cfm4" else n_slices for n_slices, scheme in jobs]
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(jobs)), key=factors.__getitem__, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += factors[i]
+    with _forked("converge", [partial(_evolve_jobs, config, psi0, [jobs[i] for i in share])
+                              for share in shares]) as results:
+        runs = dict(zip(chain.from_iterable(shares), chain.from_iterable(results())))
+    return [runs[i] for i in range(len(jobs))]
 
 
 def converge_scenario(config: ScenarioConfig, doublings: int,
@@ -847,19 +881,28 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     Every slice count written is the count the run took: the uniform slices
     plus each jump of V inside (t0, t1) that `slice_boundaries` adds.
 
-    No run reads another's result, so the runs go on up to
-    min(runs, CPUs) forked worker processes, the most factors first (a
-    cfm4 slice is two).  Each run is deterministic and everything else is
-    computed here in ladder order, so the files are identical to a serial
-    run's.
-    `doublings` >= 2 must keep the finest rung within MAX_SLICES; where V is
-    piecewise constant in time, a warning on stderr says every rung is exact.
+    No run reads another's result, so `_run_jobs` shares the runs among
+    up to min(runs, CPUs) forked workers.  Each run is deterministic and
+    everything else is computed here in ladder order, so the files are
+    identical to a serial run's.
+    `doublings` >= 2 must keep the finest rung within MAX_SLICES, and its
+    per-slice coefficients within MAX_BASIS_BYTES, or this raises
+    ScenarioError before any run starts; where V is piecewise constant in
+    time, a warning on stderr says every rung is exact.
     """
     # a right shift, so that a huge request costs nothing to reject
     if doublings < 2 or config.slices > MAX_SLICES >> doublings:
         raise ScenarioError(["converge requires doublings >= 2 and slices x 2**doublings <= %d"
                              " (here %d x 2**%d)" % (MAX_SLICES, config.slices, doublings)])
     pot = config.hamiltonian.potential
+    try:  # the finest rung's per-slice coefficients, bounded as `validate` bounds a run's
+        finest = slice_boundaries(pot, config.t0, config.t1, config.slices << doublings).size - 1
+    except ValueError as exc:
+        raise ScenarioError(["schedule: %s" % exc]) from None
+    points, errors = config.grid.points, []
+    if not _fits("converge", "per-slice coefficient history", finest,
+                 min(points, config.truncation or points), 16, errors):
+        raise ScenarioError(errors)
     if pot.kind != "tabulated" and pot.profile.kind != "sampled":
         print("warning: convergence trivially flat for a potential "
               "that is piecewise constant in time", file=sys.stderr)

@@ -13,7 +13,8 @@ def pytest_runtest_makereport(item, call):
 @pytest.fixture(autouse=True)
 def no_stray_processes():
     """Fail a test that leaves a child process of multiprocessing running,
-    such as a worker of `converge`'s pool."""
+    such as a `scenario._forked` worker of `converge` or of `run`'s split
+    coefficients.csv writer."""
     yield
     stray = multiprocessing.active_children()
     for proc in stray:

@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -427,6 +428,25 @@ class TestValidate:
             parse_scenario(write_scenario(tmp_path, quench_doc(slices=MAX_SLICES + 1)))
         assert excinfo.value.violations == ["schedule.slices: must be <= %d" % MAX_SLICES]
 
+    @pytest.mark.parametrize("stationary, points, ok", [
+        (False, 512, True), (False, 513, False), (True, 4096, False),
+    ], ids=["512_states", "513_states", "stationary_4096_states"])
+    def test_coefficient_history_limit(self, tmp_path, capsys, stationary, points, ok):
+        # evolve keeps every retained state of every slice: 2**18 slices of 512
+        # states take 2 GiB, and a copy of stationary at 4096 would hold 16 GiB
+        if stationary:
+            doc = json.loads(Path(bundled_scenario_path("stationary")).read_text())
+            doc["grid"] = {"x_min": -12.0, "x_max": 12.0, "points": points}
+            doc["basis"]["truncation"] = points
+            doc["schedule"]["slices"] = MAX_SLICES
+        else:
+            doc = quench_doc(points=points, truncation=None, slices=MAX_SLICES)
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == (0 if ok else 1)
+        assert capsys.readouterr().err == ("" if ok else (
+            "invalid scenario: schedule.slices: a %d x %d per-slice coefficient history "
+            "takes %d bytes, more than %d\n" % (MAX_SLICES, points, MAX_SLICES * points * 16,
+                                               MAX_BASIS_BYTES)))
+
     def test_dirac_states_within_the_grid(self, tmp_path, capsys):
         # 250 states on 200 nodes failed in compare-dirac as a numpy broadcast error
         doc = with_change(quench_doc(points=200, truncation=8), ("dirac",),
@@ -695,9 +715,9 @@ class TestSplitCoefficients:
         monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
         monkeypatch.setattr(scenario_mod, "_current_cpu", lambda: cpu)
         run_scenario(parse_scenario(write_scenario(tmp_path, split_doc())), str(tmp_path / "out"))
-        # with one CPU allowed the worker stays on it
-        assert json.loads((tmp_path / "worker_cpus").read_text()) == sorted(
-            allowed - {cpu} or allowed)
+        # exactly one CPU, not this process's; with one CPU allowed it stays on it
+        worker_cpus = json.loads((tmp_path / "worker_cpus").read_text())
+        assert len(worker_cpus) == 1 and worker_cpus[0] in (allowed - {cpu} or allowed)
         assert os.sched_getaffinity(0) == allowed
 
     def test_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch, formatted_here):
@@ -953,10 +973,16 @@ class TestConverge:
                                ("cfm4", 1, 2), ("average", 1, 1), ("average", 2, 1),
                                ("average", 4, 1)]]}
 
-    def test_worker_failure_is_an_engine_failure(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("where", ["worker", "worker_exit", "worker_type_error"])
+    def test_worker_failure_is_an_engine_failure(self, where, tmp_path, capsys, monkeypatch):
+        # any exception in a worker, whatever its type, ends as its message
         parent = os.getpid()
 
         def failing(*args, **kwargs):
+            if os.getpid() != parent and where == "worker_exit":
+                os._exit(3)
+            if os.getpid() != parent and where == "worker_type_error":
+                raise TypeError("a type error")
             raise RuntimeError("in a worker" if os.getpid() != parent else "in the parent")
 
         monkeypatch.setattr(scenario_mod, "evolve", failing)
@@ -964,10 +990,58 @@ class TestConverge:
         path = write_scenario(tmp_path, quench_doc(points=256, truncation=24))
         out = tmp_path / "out"
         assert cli_main(["converge", path, "--doublings", "2", "--out", str(out)]) == 2
+        message = {"worker": "in a worker", "worker_type_error": "a type error",
+                   "worker_exit": "converge worker exited with code 3"}[where]
         err = capsys.readouterr().err
-        assert err.endswith("\nengine failure: in a worker\n") and "Traceback" not in err
+        assert err.endswith("\nengine failure: %s\n" % message) and "Traceback" not in err
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
+
+    def test_failure_ends_the_other_workers(self, tmp_path, capsys, monkeypatch):
+        # the first worker fails on its first run, the 16-slice rung, while the
+        # other sleeps in its first; the command ends at once, not a minute later
+        parent = os.getpid()
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent and args[4] == 16:
+                raise RuntimeError("in a worker")
+            time.sleep(60)
+
+        monkeypatch.setattr(scenario_mod, "evolve", failing)
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        path = write_scenario(tmp_path, quench_doc(points=256, truncation=24))
+        start = time.perf_counter()
+        assert cli_main(["converge", path, "--doublings", "2",
+                         "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 30
+        assert capsys.readouterr().err.endswith("\nengine failure: in a worker\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_workers_take_one_cpu_each_and_balanced_shares(self, tmp_path, monkeypatch):
+        # `converge smooth_ramp --doublings 4`: 7 runs of 344 factors in all
+        # (64 + 32 for the cfm4 runs, 8 + 16 + ... + 128 for the rungs); longest
+        # processing time first gives one worker 128 + 32 + 16 and the other
+        # 64 + 64 + 32 + 8
+        def recorded(*args, **kwargs):
+            with open(tmp_path / ("worker_%d" % os.getpid()), "a", encoding="utf-8") as fh:
+                fh.write(json.dumps([sorted(os.sched_getaffinity(0)), args[4],
+                                     kwargs["scheme"]]) + "\n")
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_mod, "evolve", recorded)
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
+        converge_scenario(cfg, 4, str(tmp_path / "out"))
+        workers = [[json.loads(line) for line in path.read_text().splitlines()]
+                   for path in sorted(tmp_path.glob("worker_*"))]
+        assert len(workers) == 2 and not (tmp_path / ("worker_%d" % os.getpid())).exists()
+        cpus = [cpu for runs in workers for cpu in {tuple(c) for c, _, _ in runs}]
+        assert all(len(cpu) == 1 for cpu in cpus) and len(set(cpus)) == 2
+        loads = sorted(sum(n * (2 if scheme == "cfm4" else 1) for _, n, scheme in runs)
+                       for runs in workers)
+        assert loads == [168, 176]
 
     def test_in_process_path_writes_the_pool_path_files(self, tmp_path, monkeypatch):
         # a run that goes through `evolve` in this process is recorded here;
@@ -1192,6 +1266,47 @@ class TestCli:
             "invalid scenario: converge requires doublings >= 2 and slices x 2**doublings "
             "<= %d (here 4 x 2**%d)\n" % (MAX_SLICES, doublings))
         assert multiprocessing.active_children() == [] and not out.exists()
+
+    @pytest.mark.parametrize("doublings", [15, 16])
+    def test_converge_coefficient_history_bounded(self, tmp_path, capsys, monkeypatch,
+                                                   doublings):
+        # the finest rung keeps 4 x 2**doublings slices of 1024 complex
+        # coefficients: 2 GiB at 15 doublings, so 16 is refused before the
+        # initial state is solved, a worker starts or a file is written
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(scenario_mod, "_initial_state", started)
+        monkeypatch.setattr(scenario_mod, "_run_jobs", started)
+        path = write_scenario(tmp_path, quench_doc(truncation=None))
+        out = tmp_path / "out"
+        argv = ["converge", path, "--doublings", str(doublings), "--out", str(out)]
+        if doublings == 15:
+            with pytest.raises(Started):
+                cli_main(argv)
+            return
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            "invalid scenario: converge: a %d x 1024 per-slice coefficient history takes %d "
+            "bytes, more than %d\n" % (MAX_SLICES, MAX_SLICES * 1024 * 16, MAX_BASIS_BYTES))
+        assert multiprocessing.active_children() == [] and not out.exists()
+
+    def test_converge_finest_rung_narrower_than_rounding(self, tmp_path, capsys):
+        # one slice of [1, 1 + 4e-15] is valid, but 32 slices of it round onto one
+        # another: refused before any run starts, as `validate` refuses a run
+        doc = quench_doc(points=256, truncation=24, slices=1)
+        doc["schedule"].update(t0=1.0, t1=1.0 + 4e-15)
+        path = write_scenario(tmp_path, doc)
+        assert cli_main(["validate", path]) == 0
+        out = tmp_path / "out"
+        assert cli_main(["converge", path, "--doublings", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "invalid scenario: schedule: slice boundaries must be strictly increasing: "
+            "32 slices do not fit in [1.0, 1.000000000000004]")
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc, flat", [
         (tabulated_ramp_doc(), False),
