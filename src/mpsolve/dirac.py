@@ -11,11 +11,11 @@ inside its window and takes V on every piece from inside that piece: a jump
 then costs no order of accuracy.
 
 An RK4 step costs little beyond its four M x M products: the phases of a
-block of steps come from one exp call, a `scaled_harmonic` V is one
-read-only matrix per distinct S(t), cast to complex once, and finiteness is
-checked per block.  Every product keeps the operands and order of the
-textbook step, so the amplitudes are bit for bit those of a step-by-step
-loop.
+block of steps come from one exp call, `perturbation_operator` returns V
+complex, a `scaled_harmonic` one as one read-only matrix per distinct S(t),
+and finiteness is checked per block.  Every product keeps the operands and
+order of the textbook step, so the amplitudes are bit for bit those of a
+step-by-step loop.
 """
 
 from __future__ import annotations
@@ -65,16 +65,17 @@ class DivergenceReport:
 def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
                           t0: float = 0.0) -> Callable[[float], np.ndarray]:
     """The map t -> V_km(t) = <k| V(x,t) - V(x,t0) |m> over the retained
-    basis in the package inner product (weights `grid.weights`).  Real
-    symmetric for scalar potentials.
+    basis in the package inner product (weights `grid.weights`), as a
+    complex array, since RK4 multiplies it by complex amplitudes; its
+    imaginary part is zero, and it is symmetric.
 
     A `scaled_harmonic` potential is (S(t) - S(t0)) k x^2 / 2 apart from
     V(t0), so its one spatial profile is projected onto the basis once (an
     N x M x M product) and a call only scales an M x M matrix; `harmonic(k)`
-    is the case S = 1, whose difference is zero.  The matrix is read-only,
-    and a call whose S(t) equals the call before's returns the same object.
-    A `tabulated` call evaluates V(t) - V(t0) on the grid and projects it
-    into a new array.
+    is the case S = 1, whose difference is zero.  The matrix is cast to
+    complex once per S(t) and is read-only, and a call whose S(t) equals the
+    call before's returns the same object.  A `tabulated` call evaluates
+    V(t) - V(t0) on the grid and projects it into a new complex array.
 
     Raises ValueError where evaluating V(x, t) would: for a time outside
     the samples or a non-finite potential.
@@ -87,7 +88,7 @@ def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
         return basis.vectors.T @ (basis.vectors * (grid.weights * v)[:, None])
 
     if pot.kind == "tabulated":
-        return lambda t: projected(h.potential_on_grid(grid, t) - v0)
+        return lambda t: projected(h.potential_on_grid(grid, t) - v0).astype(complex)
 
     x2 = grid.x**2
     spring = projected(0.5 * pot.k * x2)
@@ -105,7 +106,7 @@ def perturbation_operator(h: HamiltonianSpec, basis: EigenBasis,
         # the node where V(x, t) is largest overflows first
         if not math.isfinite(0.5 * s * pot.k * x2_max):
             raise ValueError("potential evaluated to a non-finite value")
-        v = (s - s0) * spring
+        v = ((s - s0) * spring).astype(complex)
         v.flags.writeable = False
         last = (s, v)
         return v
@@ -168,10 +169,10 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     supported V, while the phases exp(i w t) keep the true stage time.  V
     is called once per distinct stage time, the midpoint and then the end
     of each step, and the step's end serves the next step's k1.  The phases
-    of up to _BLOCK steps' stage times come from one exp call.  A real V is
-    cast to complex for its products after both calls of a step, and a
-    read-only V that owns its data, which cannot change, only the first
-    time it is returned.
+    of up to _BLOCK steps' stage times come from one exp call.  Each
+    product takes V as `v_of_t` returned it, after both calls of a step: a
+    complex V, as `perturbation_operator` returns, is used as it is, and a
+    real one is cast to complex inside the product.
 
     Aborts with the index of the first step whose amplitudes are not all
     finite, a reportable outcome under strong coupling, not a bug.  The
@@ -186,17 +187,6 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     if not np.all(np.isfinite(c)):
         raise ValueError("initial amplitudes must be finite")
     cuts, counts = rk4_pieces(breakpoints, t_span, steps)
-    held = None  # (V, its complex copy) for the last read-only V
-
-    def as_complex(v):
-        nonlocal held
-        if held is not None and v is held[0]:
-            return held[1]
-        vc = np.asarray(v, dtype=complex)
-        if isinstance(v, np.ndarray) and v.flags.owndata and not v.flags.writeable:
-            held = (v, vc)
-        return vc
-
     # exp(i (w_k - w_m) t) V_km = p_k V_km conj(p_m) with p = exp(i w t); the
     # right-hand side at t is then q * (V @ (C * conj(p))), q = -i p / hbar.
     # Each product below is one of the textbook step
@@ -242,14 +232,13 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
                 for i, t_mid, t_next, out in zip(range(0, 2 * size, 2), stages[1::2].tolist(),
                                                  stages[2::2].tolist(), block):
                     v_mid, v_next = v_inside(t_mid), v_inside(t_next)
-                    m1, m_mid, m_next = as_complex(v1), as_complex(v_mid), as_complex(v_next)
-                    mul(q[i], matmul(m1, mul(c, pc[i], y), k1), k1)
+                    mul(q[i], matmul(v1, mul(c, pc[i], y), k1), k1)
                     add(c, mul(half_, k1, y), y)
-                    mul(q[i + 1], matmul(m_mid, mul(y, pc[i + 1], y), k2), k2)
+                    mul(q[i + 1], matmul(v_mid, mul(y, pc[i + 1], y), k2), k2)
                     add(c, mul(half_, k2, y), y)
-                    mul(q[i + 1], matmul(m_mid, mul(y, pc[i + 1], y), k3), k3)
+                    mul(q[i + 1], matmul(v_mid, mul(y, pc[i + 1], y), k3), k3)
                     add(c, mul(dt_, k3, y), y)
-                    mul(q[i + 2], matmul(m_next, mul(y, pc[i + 2], y), k4), k4)
+                    mul(q[i + 2], matmul(v_next, mul(y, pc[i + 2], y), k4), k4)
                     add(add(add(k1, mul(two, k2, k2), k1), mul(two, k3, k3), k1), k4, k1)
                     c = add(c, mul(sixth_, k1, k1), out)
                     v1 = v_next

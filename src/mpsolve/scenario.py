@@ -52,6 +52,11 @@ EMIT_CHOICES = ("energy", "coefficients", "summary")
 # most bytes a scenario's retained eigenbasis (grid.points x states doubles), its
 # RK4 amplitude history or its per-slice coefficients may take
 MAX_BASIS_BYTES = 2 * 1024**3
+# doubles per grid point that `validate`, or a cold eigensolve, holds besides
+# the basis: tracemalloc read 9.5 for validation and 10.5 for `eigendecompose`
+# of one state (2**20 points).  grid.points x _GRID_WORK doubles must fit in
+# MAX_BASIS_BYTES as well, which caps the grid at 2**24 points
+_GRID_WORK = 16
 # most slices one evolution may take, `schedule.slices` and the finest `converge`
 # rung alike: at 1-3 ms per slice 2**18 slices take minutes.  `evolve` also
 # holds a report per slice, about 1.4 KB at 64 states (370 MB at 2**18), so the
@@ -325,7 +330,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
     basis_fits = False
     if points is not None and (truncation is not None or basis_cfg.get("truncation") is None):
         retained = min(points, truncation or points)
-        basis_fits = _fits("basis", "eigenbasis", points, retained, 8, errors)
+        basis_fits = (_fits("basis", "eigenbasis", points, retained, 8, errors)
+                      and _fits("grid.points", "grid-length work space", points, _GRID_WORK,
+                                8, errors))
 
     init = _section(raw, "initial_state", errors)
     _check_keys(init, {"eigenstate", "amplitude_file"}, "initial_state", errors)
@@ -766,7 +773,7 @@ def _one_blas_thread() -> None:
 @contextmanager
 def _forked(name: str, calls: Sequence[Callable[[], Any]]) -> Iterator[Callable[[], list]]:
     """Start one forked worker process per call and yield a function that
-    returns the calls' results, in call order.
+    returns the calls' results, in call order, reading each as it arrives.
 
     Worker i first pins itself to one CPU, the i-th of those this process
     may run on, ordered with this process's CPU last: a forked process
@@ -777,13 +784,16 @@ def _forked(name: str, calls: Sequence[Callable[[], Any]]) -> Iterator[Callable[
     message instead, and the worker exits 1 without a traceback; the
     message then raises here as RuntimeError, and so does a worker that
     ends without sending anything ("<name> worker exited with code N").
-    Each result is read before its worker is joined, since it may be
-    larger than the pipe's buffer.  On every way out of the block, a
-    worker still running is terminated, and every worker is joined."""
+    The first worker to fail raises, whichever its place in the call
+    order, while the others still run.  Each result is read before its
+    worker is joined, since it may be larger than the pipe's buffer.  On
+    every way out of the block, a worker still running is terminated, and
+    every worker is joined."""
     workers = []
     try:
         if calls:  # multiprocessing takes about 8 ms to import
             import multiprocessing
+            from multiprocessing.connection import wait
 
             fork = multiprocessing.get_context("fork")
             here = _current_cpu()
@@ -797,16 +807,20 @@ def _forked(name: str, calls: Sequence[Callable[[], Any]]) -> Iterator[Callable[
             writer.close()  # so that a worker's exit ends its pipe
 
         def results() -> list:
-            out = []
-            for proc, reader in workers:
-                try:
-                    ok, value = reader.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError("%s worker exited with code %d" % (name, proc.exitcode))
-                if not ok:
-                    raise RuntimeError(value)
-                out.append(value)
+            out = [None] * len(workers)
+            pending = {reader: (i, proc) for i, (proc, reader) in enumerate(workers)}
+            while pending:
+                for reader in wait(list(pending)):
+                    i, proc = pending.pop(reader)
+                    try:
+                        ok, value = reader.recv()
+                    except EOFError:
+                        proc.join()
+                        raise RuntimeError("%s worker exited with code %d"
+                                           % (name, proc.exitcode))
+                    if not ok:
+                        raise RuntimeError(value)
+                    out[i] = value
             return out
 
         yield results
@@ -830,17 +844,19 @@ def _worker(call: Callable[[], Any], conn, cpu: int | None) -> None:
         raise SystemExit(1)
 
 
-def _evolve_jobs(config: ScenarioConfig, psi0: WaveFunction,
-                 jobs: Sequence[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int]]]:
+def _evolve_jobs(config: ScenarioConfig, psi0: WaveFunction, jobs: Sequence[tuple[int, str]]
+                 ) -> list[tuple[np.ndarray, dict[str, int], int]]:
     """The runs of `converge`, one per (slices, scheme) job: each run's
-    final amplitudes and eigensolve counts."""
+    final amplitudes, eigensolve counts and the slices it took, one per
+    report."""
     results = (evolve(psi0, config.hamiltonian, config.t0, config.t1, n_slices,
                       config.truncation, scheme=scheme) for n_slices, scheme in jobs)
-    return [(result.final_state.amplitudes, result.eigensolves) for result in results]
+    return [(result.final_state.amplitudes, result.eigensolves, len(result.reports))
+            for result in results]
 
 
 def _run_jobs(config: ScenarioConfig, psi0: WaveFunction,
-             jobs: list[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int]]]:
+             jobs: list[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int], int]]:
     """`_evolve_jobs` of `jobs`, in job order, shared among min(jobs, CPUs)
     `_forked` workers, or run here where one worker would do.  Longest
     processing time first (Graham 1969) keeps the workers' loads close:
@@ -878,8 +894,9 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     cfm4 run at half its slices (null for a one-slice reference), which is
     an estimate of the reference's error, not a bound; and `eigensolves`,
     each run's eigensolve counts (reference, estimate, then the rungs).
-    Every slice count written is the count the run took: the uniform slices
-    plus each jump of V inside (t0, t1) that `slice_boundaries` adds.
+    Every slice count written is the count of the run's reports, one per
+    slice it took: the uniform slices plus each jump of V inside (t0, t1)
+    that `slice_boundaries` adds.
 
     No run reads another's result, so `_run_jobs` shares the runs among
     up to min(runs, CPUs) forked workers.  Each run is deterministic and
@@ -920,16 +937,11 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
         def distance(a: np.ndarray, b: np.ndarray) -> float:
             return math.sqrt(norm_squared(WaveFunction(config.grid, a - b)))
 
-        def ran(n_slices: int) -> int:
-            # evolve also cuts at each jump of V inside (t0, t1)
-            return slice_boundaries(pot, config.t0, config.t1, n_slices).size - 1
-
-        rungs = [ran(n_slices) for n_slices in ladder]
         ref = runs[0][0]
         ref_estimate = distance(ref, runs[1][0]) if ref_slices > 1 else None
         rows = []
         errors = []
-        for n_slices, (final, _) in zip(rungs, runs[-len(ladder):]):
+        for final, _, n_slices in runs[-len(ladder):]:
             err = distance(final, ref)
             errors.append(err)
             if len(errors) == 1:
@@ -943,12 +955,12 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
             _write_csv(fh, ["slices", "l2_error", "observed_order"], "%d,%.17g,%s", rows)
         with create("convergence.json") as fh:
             _write_json(fh, {"reference_scheme": "cfm4",
-                             "reference_slices": ran(ref_slices),
+                             "reference_slices": runs[0][2],
                              "reference_error_estimate": ref_estimate,
                              "eigensolves": [
-                                 {"scheme": scheme, "slices": ran(n_slices), "counts": counts}
-                                 for (n_slices, scheme), (_, counts) in zip(jobs, runs)]})
-        return list(zip(rungs, errors))
+                                 {"scheme": scheme, "slices": taken, "counts": counts}
+                                 for (_, scheme), (_, counts, taken) in zip(jobs, runs)]})
+        return [(n_slices, err) for n_slices, err, _ in rows]
 
 
 def compare_dirac_scenario(config: ScenarioConfig,

@@ -118,11 +118,20 @@ class TestPerturbationOperator:
         _, basis = oscillator_basis(8)
         op = perturbation_operator(scaled(ScaleProfile.pulse(2.0, 0.5, 1.5)), basis, 0.0)
         inside = op(0.7)
-        assert not inside.flags.writeable
+        assert inside.dtype == complex and not inside.flags.writeable
         assert op(1.2) is inside  # the same S(t)
         outside = op(1.7)
         assert outside is not inside and op(1.8) is outside
         assert op(0.9) is not inside and np.array_equal(op(0.9), inside)
+
+    def test_tabulated_matrix_is_new_and_complex(self):
+        _, basis = oscillator_basis(8)
+        op = perturbation_operator(tabulated(np.linspace(0.0, 3.0, 7)), basis, 0.0)
+        first, again = op(1.2), op(1.2)
+        assert first.dtype == complex and first.flags.writeable
+        assert again is not first and np.array_equal(again, first)
+        assert not np.shares_memory(again, first)
+        assert np.abs(first.imag).max() == 0.0
 
     def test_harmonic_is_zero(self):
         h, basis = oscillator_basis(16)

@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -406,6 +408,43 @@ class TestValidate:
         except ScenarioError as exc:
             violations = exc.violations
         assert violations == ([] if ok else [violation])
+
+    def test_grid_work_space_limit(self, tmp_path):
+        # one retained state of 2**26 points is a 512 MiB basis, but validating
+        # it takes about 9.5 doubles per point (5 GB); the bound counts 16
+        def violation(points):
+            return ("grid.points: a %d x 16 grid-length work space takes %d bytes, more "
+                    "than %d" % (points, points * 16 * 8, MAX_BASIS_BYTES))
+
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, quench_doc(points=2**24 + 1,
+                                                               truncation=1)))
+        assert excinfo.value.violations == [violation(2**24 + 1)]
+        # a basis too large is named alone
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, quench_doc(points=2**27, truncation=3)))
+        assert [v.split(":")[0] for v in excinfo.value.violations] == ["basis"]
+        # `validate` under a 1 GiB address space, in a child process, so that a
+        # check that allocates fails there instead of taking gigabytes
+        doc = {"grid": {"x_min": -12.0, "x_max": 12.0, "points": 2**26},
+               "potential": {"kind": "harmonic", "k": 1.0},
+               "schedule": {"t0": 0.0, "t1": 1.0, "slices": 4},
+               "basis": {"truncation": 1}, "initial_state": {"eigenstate": 0}}
+        paths = [write_scenario(tmp_path, doc, "large.json")] + [
+            bundled_scenario_path(name) for name in (
+                "quench_eta025", "quench_eta081", "quench_eta121", "pulse_eta4",
+                "pulse_eta081", "stationary", "smooth_ramp", "dirac_weak")]
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+                 "from mpsolve.cli import main\n"
+                 "print([main(['validate', path]) for path in sys.argv[1:]])\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scenario_mod.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", child, *paths], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1:] == [str([1] + [0] * (len(paths) - 1))]
+        assert proc.stderr == "invalid scenario: %s\n" % violation(2**26)
 
     @pytest.mark.parametrize("dirac_window", [False, True], ids=["schedule", "dirac"])
     def test_slices_narrower_than_rounding(self, tmp_path, capsys, dirac_window):
@@ -997,13 +1036,19 @@ class TestConverge:
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
 
-    def test_failure_ends_the_other_workers(self, tmp_path, capsys, monkeypatch):
-        # the first worker fails on its first run, the 16-slice rung, while the
-        # other sleeps in its first; the command ends at once, not a minute later
+    @pytest.mark.parametrize("failing_run", [(16, "average"), (4, "cfm4")],
+                             ids=["first_worker", "second_worker"])
+    def test_failure_ends_the_other_workers(self, failing_run, tmp_path, capsys,
+                                            monkeypatch):
+        # one worker fails on its first run while the other sleeps in its
+        # first; the command ends at once, not a minute later.  Longest
+        # processing time first gives the first worker the 16-slice rung and
+        # then the 2-slice cfm4 run, and the second the 4-slice cfm4 reference
+        # and then the 8- and 4-slice rungs
         parent = os.getpid()
 
         def failing(*args, **kwargs):
-            if os.getpid() != parent and args[4] == 16:
+            if os.getpid() != parent and (args[4], kwargs["scheme"]) == failing_run:
                 raise RuntimeError("in a worker")
             time.sleep(60)
 
