@@ -5,7 +5,11 @@
     mpsolve compare-dirac <scenario.json> [--out DIR]
     mpsolve validate <scenario.json>
 
-Exit codes: 0 success, 1 validation failure, 2 runtime/engine failure.
+Exit codes: 0 success; 1 invalid scenario, with one `invalid scenario:` line
+per violation on stderr; 2 any failure after validation, with its message.
+Every command takes one failure path: the scenario file and the command run
+under one handler, and a command's drivers remove the files they wrote
+before a failure or an interrupt reaches it (`scenario._output_files`).
 """
 
 from __future__ import annotations
@@ -51,18 +55,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        violations = getattr(exc, "violations", [str(exc)])
-        for line in violations:
-            print("invalid scenario: %s" % line, file=sys.stderr)
-        return 1
-
-    if args.command == "validate":
-        print("OK")
-        return 0
-
-    try:
-        if args.command == "run":
+        if args.command == "validate":
+            print("OK")
+        elif args.command == "run":
             summary = run_scenario(config, args.out)
             print("final energy ratio %.6f, final norm %.9f"
                   % (summary.final_energy_ratio, summary.final_norm))
@@ -79,8 +74,8 @@ def main(argv: list[str] | None = None) -> int:
             if report.first_exceedance_time is not None:
                 print("norm first exceeded 1.1 at t = %.6g"
                       % report.first_exceedance_time)
-    except ScenarioError as exc:
-        for line in exc.violations:
+    except (ScenarioError, OSError) as exc:
+        for line in getattr(exc, "violations", [str(exc)]):
             print("invalid scenario: %s" % line, file=sys.stderr)
         return 1
     except EngineError as exc:

@@ -17,8 +17,9 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import time
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
@@ -57,6 +58,11 @@ MAX_BASIS_BYTES = 2 * 1024**3
 # of one state (2**20 points).  grid.points x _GRID_WORK doubles must fit in
 # MAX_BASIS_BYTES as well, which caps the grid at 2**24 points
 _GRID_WORK = 16
+# doubles per grid point and per piece of a slice (the parts V is linear in t
+# on) that a slice average holds: V at both Gauss points of every piece, and
+# their sums and differences.  tracemalloc read 803 per point for one slice of
+# smooth_ramp at 2**14 points (200 pieces), 203 at 4 slices and 103 at 8
+_PIECE_WORK = 4
 # most slices one evolution may take, `schedule.slices` and the finest `converge`
 # rung alike: at 1-3 ms per slice 2**18 slices take minutes.  `evolve` also
 # holds a report per slice, about 1.4 KB at 64 states (370 MB at 2**18), so the
@@ -423,17 +429,26 @@ def parse_scenario(path: str) -> ScenarioConfig:
             elif eigenstate is not None and states is not None and eigenstate >= states:
                 errors.append("initial_state.eigenstate: must be < dirac.states")
 
-    # the windows evolve runs on: [t0, t1], and [t0, dirac.t1] for compare-dirac
-    ran = []
+    # the windows evolve runs on: [t0, t1], and [t0, dirac.t1] for compare-dirac;
+    # converge's runs take at least schedule.slices slices over [t0, t1], so no
+    # more pieces in one slice, and these bounds cover them as well
+    ran, pieces = [], []
     for name, t_end in covered[1:]:
         if None not in (t0, t_end, slices) and t0 < t_end and 1 <= slices <= MAX_SLICES:
             try:
-                ran.append(slice_boundaries(potential, t0, t_end, slices).size - 1)
+                bounds = slice_boundaries(potential, t0, t_end, slices)
             except ValueError as exc:
                 errors.append("schedule: %s" % exc)
+                continue
+            ran.append(bounds.size - 1)
+            knots = potential.breakpoints()  # a slice's pieces: 1 + the knots inside it
+            pieces.append(1 + int(np.max(np.searchsorted(knots, bounds[1:], "left")
+                                         - np.searchsorted(knots, bounds[:-1], "right"))))
     if ran and basis_fits:  # evolve keeps every slice's retained coefficients
         _fits("schedule.slices", "per-slice coefficient history", max(ran), retained, 16,
               errors)
+        _fits("schedule.slices", "slice-average work space", points,
+              _PIECE_WORK * max(pieces), 8, errors)
 
     if potential.kind == "tabulated" or potential.profile.kind == "sampled":
         knots = potential.breakpoints()
@@ -547,8 +562,13 @@ def _write_json(fh: TextIO, doc: dict) -> None:
 def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
     """Body of a driver that writes into `directory`.  Yields `create(name)`,
     which opens a file there for writing and records its path once the file
-    exists.  A solver, I/O or out-of-memory failure in the body removes the
-    recorded files, and only those, and is raised as EngineError."""
+    exists.  Any exception in the body removes the recorded files, and only
+    those; an Exception is then raised as EngineError, and anything else,
+    such as KeyboardInterrupt or SystemExit, as itself.
+
+    A `_forked` worker never unwinds through here: multiprocessing ends a
+    fork child with os._exit, so a worker cannot remove this process's
+    files."""
     written: list[str] = []
 
     def create(name: str) -> TextIO:
@@ -560,10 +580,12 @@ def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
     try:
         os.makedirs(directory, exist_ok=True)
         yield create
-    except (RuntimeError, ValueError, OSError, KeyError, MemoryError) as exc:
+    except BaseException as exc:
         for path in written:
-            with suppress(FileNotFoundError):  # a part file the body removed itself
+            with suppress(FileNotFoundError):  # already gone, nothing to remove
                 os.remove(path)
+        if not isinstance(exc, Exception):
+            raise
         raise EngineError(str(exc) or type(exc).__name__) from exc
 
 
@@ -666,45 +688,48 @@ def _write_slice_files(create: Callable[[str], TextIO], emit: Sequence[str],
 
     A coefficients.csv of more than _SPLIT_ROWS rows is written on two
     processes where `_available_cpus` gives two: one `_forked` worker
-    formats the rows of the second half of the slices into a part file
+    formats the rows of the second half of the slices into an unnamed file
     beside it, while this process writes energy.csv and the first half.
-    The part file is then appended in bounded chunks and removed.  Each row
-    is formatted on its own, so the bytes are those of a serial write.  A
-    failure on either side raises here as RuntimeError, with the part file
-    registered through `create` for the driver's clean-up."""
-    rows = len(reports) * reports[0].coefficients.size if reports else 0
+    That file is then appended in bounded chunks, and it is closed, so gone,
+    on every way out.  Each row is formatted on its own, so the bytes are
+    those of a serial write.  A failure on either side raises here as
+    RuntimeError."""
     tick = time.perf_counter()
     split, calls = len(reports), []
-    if "coefficients" in emit and rows > _SPLIT_ROWS and _available_cpus() > 1:
-        with create("coefficients.csv.part") as part:
-            path = part.name
-        split //= 2
-        calls.append(partial(_format_part, path, reports[split:]))
-    with _forked("coefficients.csv", calls) as results:
-        spent = time.perf_counter() - tick
-        if "energy" in emit:
-            with create("energy.csv") as fh:
-                _write_csv(fh, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
-                           ((r.t_end, r.energy, r.norm_squared) for r in reports))
-        tick = time.perf_counter()
+    with ExitStack() as files:
         if "coefficients" in emit:
-            with create("coefficients.csv") as fh:
+            fh = files.enter_context(create("coefficients.csv"))
+            if split * reports[0].coefficients.size > _SPLIT_ROWS and _available_cpus() > 1:
+                # beside the output, not in a temporary directory that may be
+                # held in memory: a large run's rows take gigabytes
+                spill = files.enter_context(tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", newline="\n", dir=os.path.dirname(fh.name)))
+                split //= 2
+                calls.append(partial(_format_part, spill, reports[split:]))
+        with _forked("coefficients.csv", calls) as results:
+            spent = time.perf_counter() - tick
+            if "energy" in emit:
+                with create("energy.csv") as energy:
+                    _write_csv(energy, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
+                               ((r.t_end, r.energy, r.norm_squared) for r in reports))
+            tick = time.perf_counter()
+            if "coefficients" in emit:
                 _write_csv(fh, ["slice", "k", "re", "im", "abs2"], _COEFFICIENT_ROW,
                            _coefficient_rows(reports[:split]))
                 if calls:
                     results()
                     fh.flush()
-                    with open(path, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer)
-                    os.remove(path)
+                    spill.seek(0)
+                    shutil.copyfileobj(spill.buffer, fh.buffer)
     return spent + time.perf_counter() - tick
 
 
-def _format_part(path: str, reports: Sequence) -> None:
+def _format_part(spill: TextIO, reports: Sequence) -> None:
     """Body of `_write_slice_files`' worker: the coefficient rows of
-    `reports`, without a header, into `path`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_rows(fh, _COEFFICIENT_ROW, _coefficient_rows(reports))
+    `reports`, without a header, written into `spill` and flushed.  `spill`
+    is the parent's open file, inherited through the fork."""
+    _write_rows(spill, _COEFFICIENT_ROW, _coefficient_rows(reports))
+    spill.flush()
 
 
 def _coefficient_rows(reports: Sequence) -> Iterator[tuple]:
@@ -712,9 +737,9 @@ def _coefficient_rows(reports: Sequence) -> Iterator[tuple]:
     from numpy columns about _CSV_BLOCK rows at a time.  |C_k| is np.hypot,
     bit-identical to abs() of a Python complex where np.abs is not, and it
     is squared by Python, whose ** 2 numpy's square misses by an ulp in
-    about 0.1% of cases."""
-    if not reports:
-        return
+    about 0.1% of cases.  `reports` is never empty: a run takes at least one
+    slice, and a split run at least two, since MAX_BASIS_BYTES holds one
+    slice to _SPLIT_ROWS states."""
     states = reports[0].coefficients.size
     per_block = max(1, _CSV_BLOCK // states)
     for start in range(0, len(reports), per_block):

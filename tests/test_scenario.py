@@ -486,6 +486,22 @@ class TestValidate:
             "takes %d bytes, more than %d\n" % (MAX_SLICES, points, MAX_SLICES * points * 16,
                                                MAX_BASIS_BYTES)))
 
+    @pytest.mark.parametrize("slices, pieces, ok", [(1, 200, False), (3, 68, False),
+                                                    (4, 50, True)])
+    def test_slice_average_work_space_limit(self, tmp_path, capsys, slices, pieces, ok):
+        # a slice average holds V at two Gauss points of every piece of the
+        # slice and their sums and differences: 4 doubles per point and piece.
+        # smooth_ramp's 201 knots cut one slice of [0, 2] into 200 pieces, so a
+        # 2**20-point copy would hold 6.7 GB; 64 pieces fill MAX_BASIS_BYTES
+        doc = json.loads(Path(bundled_scenario_path("smooth_ramp")).read_text())
+        doc["grid"]["points"] = 2**20
+        doc["schedule"]["slices"] = slices
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == (0 if ok else 1)
+        assert capsys.readouterr().err == ("" if ok else (
+            "invalid scenario: schedule.slices: a %d x %d slice-average work space takes %d "
+            "bytes, more than %d\n" % (2**20, 4 * pieces, 2**20 * 4 * pieces * 8,
+                                       MAX_BASIS_BYTES)))
+
     def test_dirac_states_within_the_grid(self, tmp_path, capsys):
         # 250 states on 200 nodes failed in compare-dirac as a numpy broadcast error
         doc = with_change(quench_doc(points=200, truncation=8), ("dirac",),
@@ -714,14 +730,20 @@ class TestSplitCoefficients:
         if not bundled:
             assert slices % 2 == 1 and rows_written % BLOCK != 0
 
-    @pytest.mark.parametrize("where", ["worker", "parent", "worker_exit"])
+    @pytest.mark.parametrize("where", ["worker", "parent", "worker_exit", "parent_interrupt",
+                                       "parent_type_error"])
     def test_failure_is_an_engine_failure(self, where, tmp_path, capfd, monkeypatch):
+        # whatever fails, or interrupts, on either side, no file is left behind
         parent = os.getpid()
         rows = scenario_mod._coefficient_rows
 
         def failing(reports):
             if os.getpid() == parent and where == "parent":
                 raise RuntimeError("in the parent")
+            if os.getpid() == parent and where == "parent_interrupt":
+                raise KeyboardInterrupt
+            if os.getpid() == parent and where == "parent_type_error":
+                raise TypeError("a type error")
             if os.getpid() != parent and where == "worker":
                 raise RuntimeError("in the worker")
             if os.getpid() != parent and where == "worker_exit":
@@ -731,12 +753,37 @@ class TestSplitCoefficients:
         monkeypatch.setattr(scenario_mod, "_coefficient_rows", failing)
         monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
         out = tmp_path / "out"
-        assert cli_main(["run", write_scenario(tmp_path, split_doc()), "--out", str(out)]) == 2
-        message = {"worker": "in the worker", "parent": "in the parent",
-                   "worker_exit": "coefficients.csv worker exited with code 3"}[where]
-        assert capfd.readouterr() == ("", "engine failure: %s\n" % message)
+        path = write_scenario(tmp_path, split_doc())
+        if where == "parent_interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                run_scenario(parse_scenario(path), str(out))
+        else:
+            assert cli_main(["run", path, "--out", str(out)]) == 2
+            message = {"worker": "in the worker", "parent": "in the parent",
+                       "parent_type_error": "a type error",
+                       "worker_exit": "coefficients.csv worker exited with code 3"}[where]
+            assert capfd.readouterr() == ("", "engine failure: %s\n" % message)
         assert list(out.iterdir()) == []
         assert multiprocessing.active_children() == []
+
+    def test_spill_has_no_name(self, tmp_path, monkeypatch):
+        # the worker's rows go to an unnamed file: while it formats, the
+        # output folder holds only the files the run writes
+        parent = os.getpid()
+        rows = scenario_mod._coefficient_rows
+        out = tmp_path / "out"
+
+        def listing(reports):
+            if os.getpid() != parent:
+                (tmp_path / "seen").write_text(json.dumps(os.listdir(out)))
+            return rows(reports)
+
+        monkeypatch.setattr(scenario_mod, "_coefficient_rows", listing)
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 2)
+        run_scenario(parse_scenario(write_scenario(tmp_path, split_doc())), str(out))
+        seen = json.loads((tmp_path / "seen").read_text())
+        assert "coefficients.csv" in seen and set(seen) <= {"coefficients.csv", "energy.csv"}
+        assert sorted(os.listdir(out)) == ["coefficients.csv", "energy.csv", "summary.json"]
 
     def test_worker_leaves_the_parents_cpu(self, tmp_path, monkeypatch):
         allowed = os.sched_getaffinity(0)
@@ -1291,7 +1338,7 @@ class TestCli:
         # 4 slices x 2**16 is MAX_SLICES, so 16 is admitted; a larger request is
         # refused before the initial state is solved, a worker starts or a file
         # is written
-        class Started(Exception):
+        class Started(BaseException):  # not an Exception, so not an EngineError
             pass
 
         def started(*args):
@@ -1318,7 +1365,7 @@ class TestCli:
         # the finest rung keeps 4 x 2**doublings slices of 1024 complex
         # coefficients: 2 GiB at 15 doublings, so 16 is refused before the
         # initial state is solved, a worker starts or a file is written
-        class Started(Exception):
+        class Started(BaseException):  # not an Exception, so not an EngineError
             pass
 
         def started(*args):

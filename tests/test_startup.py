@@ -1,7 +1,8 @@
 """What a command imports before it does any work.  Importing the
 scipy.linalg package also loads numpy.f2py, numpy.testing and more, which
 more than doubles the start-up time of every command; mpsolve takes its
-LAPACK routines from scipy's extension module instead."""
+LAPACK routines from scipy's extension module instead.  multiprocessing,
+about 8 ms, is imported only where a worker is forked."""
 
 import json
 import os
@@ -12,7 +13,7 @@ import mpsolve
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mpsolve.__file__)))
 SCENARIO = os.path.join(SRC, "mpsolve", "scenarios", "quench_eta025.json")
-NOT_LOADED = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+NOT_LOADED = ("scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing")
 ROUTINES = ("dgtsv", "dstebz", "dstein", "dstevd")
 
 CHILD = """
