@@ -5,8 +5,9 @@
     mpsolve compare-dirac <scenario.json> [--out DIR]
     mpsolve validate <scenario.json>
 
-Exit codes: 0 success; 1 invalid scenario, with one `invalid scenario:` line
-per violation on stderr; 2 any failure after validation, with its message.
+Exit codes: 0 success; 1 invalid or unreadable scenario, with one
+`invalid scenario:` line per violation on stderr; 2 any failure after
+validation, writing stdout included, with its message.
 Every command takes one failure path: the scenario file and the command run
 under one handler, and a command's drivers remove the files they wrote
 before a failure or an interrupt reaches it (`scenario._output_files`).
@@ -15,6 +16,7 @@ before a failure or an interrupt reaches it (`scenario._output_files`).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .scenario import (
@@ -74,14 +76,28 @@ def main(argv: list[str] | None = None) -> int:
             if report.first_exceedance_time is not None:
                 print("norm first exceeded 1.1 at t = %.6g"
                       % report.first_exceedance_time)
-    except (ScenarioError, OSError) as exc:
-        for line in getattr(exc, "violations", [str(exc)]):
+        sys.stdout.flush()
+    except ScenarioError as exc:
+        for line in exc.violations:
             print("invalid scenario: %s" % line, file=sys.stderr)
         return 1
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print("engine failure: %s" % exc, file=sys.stderr)
+        _discard_stdout()
         return 2
     return 0
+
+
+def _discard_stdout() -> None:
+    """If stdout can no longer be written (its reader closed the pipe, say),
+    point its descriptor at the null device, so that the flush at exit
+    neither fails nor reports the failure again."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,27 @@ or `dstein` does not converge, full-accuracy `dstebz` bisection and then
 `dstein` serve; a full basis comes from `dstevd`.  These are the calls scipy's
 `eigh_tridiagonal` makes, so the results are bit-identical to it.
 
+A warm refine of a mirror-symmetric matrix runs on half the grid.  With J
+the reversal of the grid, JHJ = H makes H block-diagonal in the even and
+odd vectors, two tridiagonal sectors of size N/2 (Cantoni and Butler,
+Linear Algebra Appl. 13:275, 1976): half the rows to solve, and a quarter
+of the Rayleigh-Ritz work.  Every bundled potential is even in x on a
+symmetric grid, but the nodes' rounding leaves the diagonal symmetric only
+to about 1e-16 ||H||, so the sectors (`_parity_sectors`) are those of the
+symmetrized diagonal, and are taken when N is even, the off-diagonal is
+exactly mirror-symmetric and the diagonal's asymmetry is at most
+_MIRROR_TOL = _RESIDUAL_TOL / 16 times ||H||.  Each sector holds its
+centre row first and its wall row last: with the centre last, 4 of the
+63 warm refines of smooth_ramp over 64 slices met an exactly zero pivot
+in `dgtsv` and were redone on the whole grid.
+The two sectors' eigenvalues interlace, so the lowest M states take
+ceil(M/2) from the lower one and floor(M/2) from the other
+(`_refine_sectors`).  The sector guards bound the whole-grid ones: the
+residual tolerance is reduced by the asymmetry's norm bound, and unfolding
+to the full grid keeps orthonormality and Sturm counts.  A matrix that is
+not mirror-symmetric, or whose sectors fail a guard, is refined on the
+whole grid as before.
+
 The LAPACK routines come from scipy's compiled module
 `scipy.linalg._flapack`, loaded from its file at import time.  Importing
 the `scipy.linalg` package would also load numpy.f2py, numpy.testing and
@@ -49,6 +70,9 @@ _SIGN_THRESHOLD = 1e-8
 # ||H|| = 1e3), and how far above the highest eigenvalue the Sturm count is
 # taken, well above that residual and well below the level spacing.
 _RESIDUAL_TOL = 64 * np.finfo(float).eps
+# largest asymmetry max |d_i - d_{N-1-i}| of the diagonal, relative to
+# ||H||, at which a warm refine runs on the two parity sectors
+_MIRROR_TOL = _RESIDUAL_TOL / 16
 _STURM_MARGIN = 1e-9
 _ORTHONORMAL_TOL = 1e-12
 # refinement sweeps; one more runs only if the residual guard fails
@@ -177,12 +201,17 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
     package inner product gives 1, then sign-fixed for reproducibility.
 
     `guess`, the eigenpairs of a nearby matrix with the same truncation, is
-    refined when truncation < N (see `_refine`).  The basis records how it
-    was obtained in `origin`: "refined", "fallback" (the refinement failed a
-    guard or the guess has the wrong shape; the cold result, bit-identical
-    to a call without guess) or "lapack" (no guess, or the full basis).  A
-    cold partial basis comes from `_cold`, or where that fails from
-    bisection to full accuracy and `dstein`; the full basis from `dstevd`.
+    refined when truncation < N (see `_refine`): on the matrix's two
+    parity sectors of size N/2 when N is even and the matrix is
+    mirror-symmetric to within _MIRROR_TOL * ||H|| (see the module
+    docstring), and on the whole grid otherwise or if that fails.  The
+    sector route keeps the whole grid's guards, the sign convention and
+    the energy order.  The basis records how it was obtained in `origin`:
+    "refined", "fallback" (every refinement failed a guard or the guess
+    has the wrong shape; the cold result, bit-identical to a call without
+    guess) or "lapack" (no guess, or the full basis).  A cold partial basis
+    comes from `_cold`, or where that fails from bisection to full accuracy
+    and `dstein`; the full basis from `dstevd`.
     """
     if grid.points != m.size:
         raise ValueError("grid does not match matrix dimension")
@@ -230,12 +259,9 @@ def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
             truncation: int) -> EigenBasis | None:
     """Lowest `truncation` eigenpairs of m refined from `guess`, or None.
 
-    The states are held one per row.  Each sweep solves (H - s_k) y_k = v_k
-    for all of them in one `_shifted_solve`, with s_k the current Rayleigh
-    quotient (the guess's, with this H, at the start).  As
-    H y_k = v_k + s_k y_k, the Rayleigh quotients and the Ritz matrix Y H Y^T
-    need no matvec.  The first sweep is Rayleigh-quotient iteration; the
-    later ones do Rayleigh-Ritz on the span of the y_k.  The result is kept
+    A mirror-symmetric m is refined on its two parity sectors first
+    (`_refine_sectors`); if m is not mirror-symmetric or that fails a guard,
+    the guess is refined on the whole grid by `_sweeps`.  The result is kept
     only if every residual is <= _RESIDUAL_TOL * ||H||, the vectors are
     orthonormal to _ORTHONORMAL_TOL and exactly `truncation` eigenvalues lie
     below the highest refined one plus _STURM_MARGIN * ||H||.
@@ -243,7 +269,29 @@ def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
     if guess.vectors.shape != (m.size, truncation):
         return None
     h_norm = _norm_bound(m)
-    v = guess.vectors.T
+    basis = _refine_sectors(m, grid, guess.vectors.T, h_norm)
+    if basis is not None:
+        return basis
+    refined = _sweeps(m, guess.vectors.T, _RESIDUAL_TOL * h_norm)
+    if refined is None:
+        return None
+    basis = _finish(refined[0], refined[1].T, grid, "refined")
+    return basis if _orthonormal_and_lowest(m, basis, h_norm) else None
+
+
+def _sweeps(m: SymTridiagonal, v: np.ndarray,
+            tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenpairs (theta, rows) of m refined from the rows of v, with unit
+    rows, or None if a solve fails or a residual stays above `tol`.
+
+    Each sweep solves (H - s_k) y_k = v_k for all rows in one
+    `_shifted_solve`, with s_k the current Rayleigh quotient (v's, with this
+    H, at the start).  As H y_k = v_k + s_k y_k, the Rayleigh quotients and
+    the Ritz matrix Y H Y^T need no matvec.  The first sweep is
+    Rayleigh-quotient iteration; the later ones do Rayleigh-Ritz on the span
+    of the y_k, and one more than _SWEEPS runs only if the residual
+    ||H v_k - theta_k v_k|| exceeds `tol`.
+    """
     theta = np.einsum("ij,ji->i", v, m.matvec(v.T)) / np.einsum("ij,ij->i", v, v)
     for sweep in range(_SWEEPS + 1):
         y = _shifted_solve(m, theta, v)
@@ -266,13 +314,91 @@ def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
             return None
         theta, z = np.linalg.eigh(l_inv @ (0.5 * (ritz + ritz.T)) @ l_inv.T)
         v = (l_inv.T @ z).T @ y
-        basis = _finish(theta, v.T, grid, "refined")
-        # residual() measures the rescaled vectors; sqrt(dx) undoes that
-        if residual(m, basis).max() * np.sqrt(grid.dx) <= _RESIDUAL_TOL * h_norm:
-            break
-    else:
+        if np.linalg.norm(m.matvec(v.T) - v.T * theta, axis=0).max() <= tol:
+            return theta, v
+    return None
+
+
+def _parity_sectors(m: SymTridiagonal, h_norm: float
+                    ) -> tuple[SymTridiagonal, SymTridiagonal, float, float] | None:
+    """The parity sectors of a mirror-symmetric m, or None if N is odd, the
+    off-diagonal is not exactly mirror-symmetric or the diagonal's asymmetry
+    max |d_i - d_{N-1-i}| exceeds _MIRROR_TOL * ||H||.
+
+    Returns (lower, upper, sign, asym).  With h = N/2 and the symmetrized
+    diagonal's right half d_s, both sectors are h x h with off-diagonal
+    e[h:], the centre row first and the wall last; `lower` holds vectors
+    u = v[h:] + sign * v[h-1::-1] and has d_s[0] + sign * e[h-1] in its
+    first entry, `upper` the other parity and d_s[0] - sign * e[h-1].  The
+    sign makes `lower` the sector with the smaller first entry: `upper` is
+    `lower` plus a positive rank-one term, so their eigenvalues interlace,
+    l_0 <= u_0 <= l_1 <= u_1 <= ..., and the lowest M states of m take
+    ceil(M/2) from `lower` and floor(M/2) from `upper`.
+    """
+    n = m.size
+    if n % 2:
         return None
-    return basis if _orthonormal_and_lowest(m, basis, h_norm) else None
+    h = n // 2
+    d, e = m.diagonal, m.off_diagonal
+    asym = np.abs(d - d[::-1]).max()
+    if asym > _MIRROR_TOL * h_norm or not np.array_equal(e, e[::-1]):
+        return None
+    sign = 1.0 if e[h - 1] <= 0 else -1.0
+    half = 0.5 * (d[h:] + d[h - 1::-1])
+    lower, upper = half.copy(), half
+    lower[0] += sign * e[h - 1]
+    upper[0] -= sign * e[h - 1]
+    return SymTridiagonal(lower, e[h:]), SymTridiagonal(upper, e[h:]), sign, asym
+
+
+def _refine_sectors(m: SymTridiagonal, grid: Grid, v: np.ndarray,
+                    h_norm: float) -> EigenBasis | None:
+    """The lowest states of m, one per row of the guess v, refined on the
+    parity sectors that `_parity_sectors` gives, or None if m has none or a
+    sector fails its guards.
+
+    The guess's rows 0, 2, ... fold into `lower` and rows 1, 3, ... into
+    `upper`, and `_sweeps` refines each sector on N/2 rows.  The sectors are
+    those of the mirror-symmetric part H_s of H, and ||H - H_s|| <= asym/2,
+    so a sector residual below _RESIDUAL_TOL * ||H|| - asym/2 keeps the
+    residual with H itself below _RESIDUAL_TOL * ||H||.  Unfolding is
+    orthogonal, so each sector's rows must be orthonormal to
+    _ORTHONORMAL_TOL; and each sector's Sturm count at the highest refined
+    energy of both plus _STURM_MARGIN * ||H|| must equal its number of
+    states, so the two together are H_s's lowest.  H's eigenvalues lie
+    within asym/2 of H_s's, far inside that margin.  The unfolded states
+    alternate between the sectors, which keeps them in ascending order
+    because the sectors' eigenvalues interlace.
+    """
+    sectors = _parity_sectors(m, h_norm)
+    if sectors is None:
+        return None
+    lower, upper, sign, asym = sectors
+    n = m.size
+    h = n // 2
+    tol = _RESIDUAL_TOL * h_norm - 0.5 * asym
+    refined = []
+    for sector, rows, fold in ((lower, v[0::2], sign), (upper, v[1::2], -sign)):
+        if rows.shape[0] == 0:  # one state: the upper sector holds none
+            refined.append((np.empty(0), np.empty((0, h))))
+            continue
+        pairs = _sweeps(sector, rows[:, h:] + fold * rows[:, h - 1::-1], tol)
+        if pairs is None:
+            return None
+        refined.append(pairs)
+    shift = max(theta.max(initial=-np.inf) for theta, _ in refined) + _STURM_MARGIN * h_norm
+    for sector, (theta, u) in zip((lower, upper), refined):
+        if (np.abs(u @ u.T - np.eye(theta.size)).max(initial=0.0) > _ORTHONORMAL_TOL
+                or _count_below(sector, shift) != theta.size):
+            return None
+    (theta_l, u_l), (theta_u, u_u) = refined
+    energies = np.empty(v.shape[0])
+    energies[0::2], energies[1::2] = theta_l, theta_u
+    unfolded = np.empty((v.shape[0], n))
+    unfolded[0::2, h:], unfolded[0::2, :h] = u_l, sign * u_l[:, ::-1]
+    unfolded[1::2, h:], unfolded[1::2, :h] = u_u, -sign * u_u[:, ::-1]
+    unfolded *= np.sqrt(0.5)
+    return _finish(energies, unfolded.T, grid, "refined")
 
 
 def _cold(m: SymTridiagonal, grid: Grid, truncation: int,

@@ -268,13 +268,16 @@ def _read_amplitudes(path: str, points: int | None, grid: Grid | None,
 
 def parse_scenario(path: str) -> ScenarioConfig:
     """Load and validate a scenario file; raises ScenarioError listing every
-    violation found."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
-                            parse_constant=_finite(float))
-        except (ValueError, OverflowError) as exc:
-            raise ScenarioError(["not valid JSON: %s" % exc])
+    violation found, or the error met reading the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                                parse_constant=_finite(float))
+            except (ValueError, OverflowError) as exc:
+                raise ScenarioError(["not valid JSON: %s" % exc])
+    except OSError as exc:
+        raise ScenarioError([str(exc)]) from None
     if not isinstance(raw, dict):
         raise ScenarioError(["top level must be a JSON object"])
 

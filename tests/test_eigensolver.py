@@ -20,7 +20,16 @@ from mpsolve import (
     residual,
 )
 from mpsolve import eigensolver
-from mpsolve.eigensolver import _count_below, _finish, _norm_bound, _shifted_solve
+from mpsolve.eigensolver import (
+    _RESIDUAL_TOL,
+    _count_below,
+    _finish,
+    _norm_bound,
+    _orthonormal_and_lowest,
+    _shifted_solve,
+)
+from mpsolve.projection import evolve
+from mpsolve.scenario import bundled_scenario_path, parse_scenario
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -275,6 +284,142 @@ class TestWarmStart:
         assert warm.origin == "refined"
         assert np.array_equal(guess.vectors, vectors)
         assert np.array_equal(guess.energies, energies)
+
+
+def solve_widths(monkeypatch) -> list:
+    """The row count of every `_shifted_solve` call made from now on."""
+    widths, solve = [], eigensolver._shifted_solve
+
+    def counted(m, shifts, rows):
+        widths.append(rows.shape[1])
+        return solve(m, shifts, rows)
+
+    monkeypatch.setattr(eigensolver, "_shifted_solve", counted)
+    return widths
+
+
+def whole_grid_refine(m, grid, guess):
+    """The warm refine on the whole grid, its residual taken on the finished
+    basis: the reference that a matrix which is not mirror-symmetric must
+    match bit for bit."""
+    h_norm = _norm_bound(m)
+    v = guess.vectors.T
+    theta = np.einsum("ij,ji->i", v, m.matvec(v.T)) / np.einsum("ij,ij->i", v, v)
+    for sweep in range(eigensolver._SWEEPS + 1):
+        y = _shifted_solve(m, theta, v)
+        scale = 1.0 / np.linalg.norm(y, axis=1)[:, None]
+        y *= scale
+        hy = v * scale
+        if sweep == 0:
+            theta, v = theta + np.einsum("ij,ij->i", y, hy), y
+            continue
+        gram = y @ y.T
+        ritz = y @ hy.T + gram * theta
+        l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+        theta, z = np.linalg.eigh(l_inv @ (0.5 * (ritz + ritz.T)) @ l_inv.T)
+        v = (l_inv.T @ z).T @ y
+        basis = _finish(theta, v.T, grid, "refined")
+        if residual(m, basis).max() * np.sqrt(grid.dx) <= _RESIDUAL_TOL * h_norm:
+            return basis
+    return None
+
+
+class TestParitySectors:
+    # a coarse box for the small grids, where the refine then succeeds on
+    # both routes (on [-12, 12] some of them fall back to the cold path)
+    @pytest.mark.parametrize("n, m", [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 5),
+                                      (64, 1), (64, 8), (64, 9), (512, 48), (1024, 64)])
+    @pytest.mark.parametrize("off_sign", [1.0, -1.0], ids=["negative_off", "positive_off"])
+    def test_sector_route_passes_the_full_guards(self, n, m, off_sign, monkeypatch):
+        # with a positive off-diagonal the ground state is odd: the sectors
+        # swap, and the spectrum is the same
+        g = Grid(-3.0, 3.0, n) if n < 64 else Grid(-12.0, 12.0, n)
+
+        def matrix(k):
+            h = harmonic_matrix(k, g)
+            return SymTridiagonal(h.diagonal, off_sign * h.off_diagonal)
+
+        guess, target = eigendecompose(matrix(1.0), g, m), matrix(1.01)
+        widths = solve_widths(monkeypatch)
+        sectors = eigendecompose(target, g, m, guess=guess)
+        assert sectors.origin == "refined" and set(widths) == {n // 2}
+        h_norm = _norm_bound(target)
+        assert residual(target, sectors).max() * np.sqrt(g.dx) <= _RESIDUAL_TOL * h_norm
+        assert _orthonormal_and_lowest(target, sectors, h_norm)
+        assert np.all(np.diff(sectors.energies) > 0)
+        monkeypatch.setattr(eigensolver, "_parity_sectors", lambda *args: None)
+        widths.clear()
+        whole = eigendecompose(target, g, m, guess=guess)
+        assert whole.origin == "refined" and set(widths) == {n}
+        assert np.abs(sectors.energies - whole.energies).max() <= 1e-12
+        assert np.abs(sectors.vectors - whole.vectors).max() <= 1e-12
+
+    @pytest.mark.parametrize("excess, taken", [(0.5, True), (2.0, False)])
+    def test_selection_rule(self, excess, taken, monkeypatch):
+        # one diagonal entry moved off the mirror by `excess` times the
+        # largest asymmetry the sectors take; the guards are those of H itself
+        g = Grid(-12.0, 12.0, 512)
+        guess = eigendecompose(harmonic_matrix(1.0, g), g, 48)
+        base = harmonic_matrix(1.01, g)
+        d = 0.5 * (base.diagonal + base.diagonal[::-1])
+        h_norm = _norm_bound(base)
+        d[100] += excess * eigensolver._MIRROR_TOL * h_norm
+        target = SymTridiagonal(d, base.off_diagonal)
+        assert _norm_bound(target) == h_norm
+        widths = solve_widths(monkeypatch)
+        basis = eigendecompose(target, g, 48, guess=guess)
+        assert basis.origin == "refined"
+        assert set(widths) == {256 if taken else 512}
+        assert residual(target, basis).max() * np.sqrt(g.dx) <= _RESIDUAL_TOL * h_norm
+        assert _orthonormal_and_lowest(target, basis, h_norm)
+
+    @pytest.mark.parametrize("case", ["shifted_grid", "odd_term", "odd_points",
+                                      "off_diagonal"])
+    def test_asymmetric_matrix_refines_on_the_whole_grid(self, case, monkeypatch):
+        g = Grid(-11.9, 12.1, 512) if case == "shifted_grid" else Grid(
+            -12.0, 12.0, 513 if case == "odd_points" else 512)
+        if case == "odd_term":
+            samples = np.array([0.5 * g.x**2 + 0.05 * g.x, 0.505 * g.x**2 + 0.05 * g.x])
+            h = HamiltonianSpec(1.0, 1.0, PotentialSpec.tabulated(g.x, [0.0, 1.0], samples))
+            start, target = discretize(h, g, 0.0), discretize(h, g, 1.0)
+        else:
+            start, target = harmonic_matrix(1.0, g), harmonic_matrix(1.01, g)
+        if case == "off_diagonal":
+            e = target.off_diagonal.copy()
+            e[0] *= 1.0 + 1e-15
+            target = SymTridiagonal(target.diagonal, e)
+        guess = eigendecompose(start, g, 48)
+        assert eigensolver._parity_sectors(target, _norm_bound(target)) is None
+        widths = solve_widths(monkeypatch)
+        basis = eigendecompose(target, g, 48, guess=guess)
+        assert basis.origin == "refined" and set(widths) == {g.points}
+        expected = whole_grid_refine(target, g, guess)
+        assert np.array_equal(basis.energies, expected.energies)
+        assert np.array_equal(basis.vectors, expected.vectors)
+
+    def test_sector_guess_missing_the_ground_state_falls_back(self, monkeypatch):
+        # states 2, 1, 4, 3, ..., 24, 23: each has the parity of its column,
+        # so each sector refines its states to exact eigenpairs, and only the
+        # sectors' Sturm counts see that the lowest state is missing
+        g = Grid(-12.0, 12.0, 512)
+        matrix = harmonic_matrix(1.0, g)
+        above = eigendecompose(matrix, g, 25)
+        order = (np.arange(24) ^ 1) + 1
+        guess = EigenBasis(above.energies[order], above.vectors[:, order], g)
+        widths = solve_widths(monkeypatch)
+        warm = eigendecompose(matrix, g, 24, guess=guess)
+        assert warm.origin == "fallback" and widths[0] == 256
+        assert np.array_equal(warm.vectors, eigendecompose(matrix, g, 24).vectors)
+
+    def test_bundled_smooth_ramp_refines_every_factor_on_half_the_grid(self, monkeypatch):
+        cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
+        psi0 = eigendecompose(discretize(cfg.hamiltonian, cfg.grid, cfg.t0),
+                              cfg.grid, 1).state(0)
+        widths = solve_widths(monkeypatch)
+        result = evolve(psi0, cfg.hamiltonian, cfg.t0, cfg.t1, 64, truncation=cfg.truncation)
+        assert result.eigensolves == {"reused": 0, "refined": 63, "lapack": 1, "fallbacks": 0}
+        # two sectors, each with an RQI and a Rayleigh-Ritz sweep
+        assert widths == [cfg.grid.points // 2] * (4 * 63)
 
 
 def _bit_matrices() -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
@@ -1416,3 +1417,27 @@ class TestCli:
 
     def test_missing_file_exit_code(self, capsys):
         assert cli_main(["validate", "/nonexistent/scn.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: ") and "/nonexistent/scn.json" in err
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_an_engine_failure(self, tmp_path, unbuffered):
+        # the run completes, then its reader has gone: a buffered stdout
+        # fails at the final flush, an unbuffered one at the first print
+        path = write_scenario(tmp_path, quench_doc(points=64))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scenario_mod.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *(["-u"] if unbuffered else []), "-m", "mpsolve.cli",
+                 "run", path, "--out", str(tmp_path / "out")],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == "engine failure: [Errno %d] %s\n" % (
+            errno.EPIPE, os.strerror(errno.EPIPE))
+        assert (tmp_path / "out" / "summary.json").exists()
