@@ -188,6 +188,9 @@ class PotentialSpec:
     Kinds:
       scaled_harmonic    V = S(t) k x^2 / 2; `harmonic(k)` is S = 1
       tabulated          samples V(x_i, t_j), exact at x nodes, linear in t
+
+    `evaluate` gives V at given times, and `moments` its first two Legendre
+    moments over a time interval, from S or the sample rows alone.
     """
 
     kind: str
@@ -232,25 +235,68 @@ class PotentialSpec:
     def evaluate(self, x, t):
         """V(x, t) for scalar or array x at a time t, or one row per time
         for a 1-D array t."""
-        x = np.asarray(x, dtype=float)
         if self.kind == "tabulated":
-            t = np.asarray(t, dtype=float)
-            ts = self.t_samples
-            if np.any(t < ts[0]) or np.any(t > ts[-1]):
-                raise ValueError("time out of range")
-            j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
-            frac = ((t - ts[j]) / (ts[j + 1] - ts[j]))[..., None]
-            if x.shape != self.x_samples.shape or not np.allclose(
-                x, self.x_samples, rtol=0, atol=1e-12
-            ):
-                raise ValueError("tabulated potential requires the sampled x grid")
+            j, frac = self._rows(x, t)
             out = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
         else:
             s = self.profile.at(t) if np.ndim(t) else self.profile(t)
-            out = np.multiply.outer(0.5 * s * self.k, x**2)
+            out = np.multiply.outer(0.5 * s * self.k, np.asarray(x, dtype=float) ** 2)
         if not np.all(np.isfinite(out)):
             raise ValueError("potential evaluated to a non-finite value")
         return out if out.ndim else float(out)
+
+    def moments(self, x, t_a: float, t_b: float) -> tuple[np.ndarray, np.ndarray]:
+        """(m0, d) at x: m0 = (1/dt) int V dt and
+        d = (4/dt^2) int (t - t_mid) V dt over [t_a, t_b], exact, in memory
+        proportional to len(x) whatever the number of pieces.
+
+        Both come from two-point Gauss on each of `gauss_pieces`' pieces,
+        where V is linear in t.  Per piece the sums V- + V+ and differences
+        V+ - V- of the two Gauss values enter with weights divided by dt,
+        never by dt^2 (which is 0 for a slice shorter than about 1e-154).
+        V is never formed at the Gauss times.  For scaled_harmonic the rule
+        acts on S, and the moments are (0.5 S_bar k) x^2 and (0.5 S_d k) x^2,
+        in `evaluate`'s order, so a one-piece slice where S- == S+ gets
+        m0 == V bit for bit and d == 0 exactly.  For tabulated each Gauss
+        value is (1 - f) v[j] + f v[j + 1], so each moment is one weighted
+        sum of the sample rows the slice touches.
+        """
+        dt = t_b - t_a
+        mid, half = gauss_pieces(self.breakpoints(), t_a, t_b)
+        s = half / np.sqrt(3.0)
+        w = half / dt
+        # d / 4 weighs the sums by p and the differences by q
+        p, q = w * (mid - 0.5 * (t_a + t_b)) / dt, w * s / dt
+        if self.kind == "scaled_harmonic":
+            lo, hi = self.profile.at(mid - s), self.profile.at(mid + s)
+            s_moments = np.array([w @ (lo + hi), 4.0 * (p @ (lo + hi) + q @ (hi - lo))])
+            m0, d = np.multiply.outer(0.5 * s_moments * self.k, np.asarray(x, dtype=float) ** 2)
+        else:
+            j, f = self._rows(x, np.concatenate((mid - s, mid + s)))
+            j, f, rows = j - j.min(), f[:, 0], self.v_samples[j.min():j.max() + 2]
+            # sum_g c_g V(t_g) over the Gauss times t_g as one weighted sum of rows
+            m0, d = ((np.bincount(j, c * (1 - f), len(rows))
+                      + np.bincount(j + 1, c * f, len(rows))) @ rows
+                     for c in (np.concatenate((w, w)), 4 * np.concatenate((p - q, p + q))))
+        if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(d))):
+            raise ValueError("potential evaluated to a non-finite value")
+        return m0, d
+
+    def _rows(self, x, t) -> tuple[np.ndarray, np.ndarray]:
+        """(j, f) with V(x, t) = (1 - f) v[j] + f v[j + 1] at each time of t
+        for the tabulated kind, f with a trailing axis to broadcast over x.
+        ValueError unless t lies within the sampled times and x is the
+        sampled grid."""
+        t = np.asarray(t, dtype=float)
+        ts = self.t_samples
+        if np.any(t < ts[0]) or np.any(t > ts[-1]):
+            raise ValueError("time out of range")
+        if np.shape(x) != self.x_samples.shape or not np.allclose(
+            x, self.x_samples, rtol=0, atol=1e-12
+        ):
+            raise ValueError("tabulated potential requires the sampled x grid")
+        j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2)
+        return j, ((t - ts[j]) / (ts[j + 1] - ts[j]))[..., None]
 
     def breakpoints(self) -> np.ndarray:
         """Times at which V may jump or change slope in t.  Between two

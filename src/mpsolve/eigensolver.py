@@ -290,13 +290,15 @@ def _sweeps(m: SymTridiagonal, v: np.ndarray,
     the Ritz matrix Y H Y^T need no matvec.  The first sweep is
     Rayleigh-quotient iteration; the later ones do Rayleigh-Ritz on the span
     of the y_k, and one more than _SWEEPS runs only if the residual
-    ||H v_k - theta_k v_k|| exceeds `tol`.
+    ||H v_k - theta_k v_k|| exceeds `tol`.  A shift that has converged to an
+    eigenvalue can make a later solve singular; the pairs are then kept if
+    their residual already passes `tol`.
     """
     theta = np.einsum("ij,ji->i", v, m.matvec(v.T)) / np.einsum("ij,ij->i", v, v)
     for sweep in range(_SWEEPS + 1):
         y = _shifted_solve(m, theta, v)
         if y is None:
-            return None
+            return (theta, v) if sweep and _passes(m, theta, v, tol) else None
         scale = 1.0 / np.linalg.norm(y, axis=1)[:, None]
         y *= scale
         hy = v * scale  # H y_k - s_k y_k
@@ -314,9 +316,14 @@ def _sweeps(m: SymTridiagonal, v: np.ndarray,
             return None
         theta, z = np.linalg.eigh(l_inv @ (0.5 * (ritz + ritz.T)) @ l_inv.T)
         v = (l_inv.T @ z).T @ y
-        if np.linalg.norm(m.matvec(v.T) - v.T * theta, axis=0).max() <= tol:
+        if _passes(m, theta, v, tol):
             return theta, v
     return None
+
+
+def _passes(m: SymTridiagonal, theta: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """Whether every residual ||H v_k - theta_k v_k|| is <= tol."""
+    return np.linalg.norm(m.matvec(v.T) - v.T * theta, axis=0).max() <= tol
 
 
 def _parity_sectors(m: SymTridiagonal, h_norm: float

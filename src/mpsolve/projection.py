@@ -16,7 +16,10 @@ sum E_k |C_k|^2 / sum |C_k|^2.
 Two schemes choose the factors, both from the first two Legendre moments
 of V over the slice, m0 = (1/dt) int V and d = (4/dt^2) int (t - t_mid) V.
 Every supported V is linear in t between its breakpoints, so two-point
-Gauss-Legendre on each piece between them gives both exactly.  "average"
+Gauss-Legendre on each piece between them gives both exactly;
+`PotentialSpec.moments` takes them from V's own form (S's moments times
+k x^2 / 2, or weighted sums of sample rows) without forming V on the grid
+at the Gauss times.  "average"
 (the paper's step) freezes H to m0, its exact time average over the slice:
 the exponential midpoint rule, second order in the slice width.  "cfm4" is
 the fourth-order commutator-free Magnus scheme (Blanes, Casas, Oteo & Ros,
@@ -26,14 +29,13 @@ Phys. Rep. 470:151, 2009; Alvermann & Fehske, J. Comput. Phys. 230:5930,
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Grid, HamiltonianSpec, PotentialSpec, WaveFunction, gauss_pieces,
-                   inner_product, norm_squared)
+from .core import (Grid, HamiltonianSpec, PotentialSpec, WaveFunction, inner_product,
+                   norm_squared)
 from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, tridiagonal_hamiltonian
 
 __all__ = [
@@ -139,35 +141,13 @@ def intermediate_energy(psi: WaveFunction, m: SymTridiagonal) -> float:
     return inner_product(psi, h_psi).real / nsq
 
 
-def _moments(h: HamiltonianSpec, grid: Grid, t_a: float,
-             t_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """(m0, d) on the grid: m0 = (1/dt) int V dt and
-    d = (4/dt^2) int (t - t_mid) V dt over [t_a, t_b], from two-point Gauss
-    on each of `gauss_pieces`' pieces, with one evaluation of V.
-
-    Per piece the sums V- + V+ and differences V+ - V- of the two Gauss
-    values enter with weights divided by dt, never by dt^2 (which is 0 for a
-    slice shorter than about 1e-154).  So a one-piece slice where V- == V+
-    gets m0 == V bit for bit and d == 0 exactly.
-    """
-    dt = t_b - t_a
-    mid, half = gauss_pieces(h.potential.breakpoints(), t_a, t_b)
-    s = half / math.sqrt(3.0)
-    lo, hi = np.split(h.potential_on_grid(grid, np.concatenate((mid - s, mid + s))), 2)
-    total = lo + hi
-    w = half / dt
-    m0 = w @ total
-    d = 4.0 * ((w * (mid - 0.5 * (t_a + t_b)) / dt) @ total + (w * s / dt) @ (hi - lo))
-    return m0, d
-
-
 def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
                    scheme: str) -> list[tuple[SymTridiagonal, float]]:
     """The (matrix, share of the slice width) factors that carry a state
     across [t_a, t_b], in the order they are applied: m0 under "average",
     m0 - d and m0 + d under "cfm4".  Where V is constant over the slice
     d == 0, so both cfm4 factors share one basis."""
-    m0, d = _moments(h, grid, t_a, t_b)
+    m0, d = h.potential.moments(grid.x, t_a, t_b)
     if scheme == "average":
         return [(tridiagonal_hamiltonian(h, grid, m0), 1.0)]
     return [(tridiagonal_hamiltonian(h, grid, m0 - d), 0.5),

@@ -58,11 +58,6 @@ MAX_BASIS_BYTES = 2 * 1024**3
 # of one state (2**20 points).  grid.points x _GRID_WORK doubles must fit in
 # MAX_BASIS_BYTES as well, which caps the grid at 2**24 points
 _GRID_WORK = 16
-# doubles per grid point and per piece of a slice (the parts V is linear in t
-# on) that a slice average holds: V at both Gauss points of every piece, and
-# their sums and differences.  tracemalloc read 803 per point for one slice of
-# smooth_ramp at 2**14 points (200 pieces), 203 at 4 slices and 103 at 8
-_PIECE_WORK = 4
 # most slices one evolution may take, `schedule.slices` and the finest `converge`
 # rung alike: at 1-3 ms per slice 2**18 slices take minutes.  `evolve` also
 # holds a report per slice, about 1.4 KB at 64 states (370 MB at 2**18), so the
@@ -433,9 +428,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
                 errors.append("initial_state.eigenstate: must be < dirac.states")
 
     # the windows evolve runs on: [t0, t1], and [t0, dirac.t1] for compare-dirac;
-    # converge's runs take at least schedule.slices slices over [t0, t1], so no
-    # more pieces in one slice, and these bounds cover them as well
-    ran, pieces = [], []
+    # converge's runs take at least schedule.slices slices over [t0, t1], so
+    # these bounds cover them as well.  A slice's moments of V take about 4
+    # doubles per grid point however many pieces its breakpoints cut it into,
+    # within _GRID_WORK, so the pieces are not bounded
+    ran = []
     for name, t_end in covered[1:]:
         if None not in (t0, t_end, slices) and t0 < t_end and 1 <= slices <= MAX_SLICES:
             try:
@@ -444,14 +441,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
                 errors.append("schedule: %s" % exc)
                 continue
             ran.append(bounds.size - 1)
-            knots = potential.breakpoints()  # a slice's pieces: 1 + the knots inside it
-            pieces.append(1 + int(np.max(np.searchsorted(knots, bounds[1:], "left")
-                                         - np.searchsorted(knots, bounds[:-1], "right"))))
     if ran and basis_fits:  # evolve keeps every slice's retained coefficients
         _fits("schedule.slices", "per-slice coefficient history", max(ran), retained, 16,
               errors)
-        _fits("schedule.slices", "slice-average work space", points,
-              _PIECE_WORK * max(pieces), 8, errors)
 
     if potential.kind == "tabulated" or potential.profile.kind == "sampled":
         knots = potential.breakpoints()

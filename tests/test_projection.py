@@ -25,7 +25,8 @@ from mpsolve import (
     slice_boundaries,
 )
 from mpsolve import projection
-from mpsolve.projection import SCHEMES, _moments, _slice_factors
+from mpsolve.core import gauss_pieces
+from mpsolve.projection import SCHEMES, _slice_factors
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -250,7 +251,7 @@ class TestStepwiseHamiltonian:
         # m0 = (1/dt) int V and d = (4/dt^2) int (t - t_mid) V, both exact
         kind, times, values, t_a, t_b = case
         h = HamiltonianSpec(1.0, 1.0, case_potential(kind, times, values))
-        m0, d = _moments(h, SMALL, t_a, t_b)
+        m0, d = h.potential.moments(SMALL.x, t_a, t_b)
         assert np.array_equal(average_matrix(h, SMALL, t_a, t_b).diagonal,
                               1.0 / SMALL.dx**2 + m0)
         # (1/dt) int f(t) V(t) dt as int_0^1 f V du with t = t_a + u dt
@@ -279,9 +280,30 @@ class TestStepwiseHamiltonian:
         t_a, t_b = sorted(ts[2:])
         assume(not any(t_a < t < t_b for t in knots))
         h = HamiltonianSpec(1.0, 1.0, case_potential(kind, knots, [2.5]))
-        m0, d = _moments(h, SMALL, t_a, t_b)
+        m0, d = h.potential.moments(SMALL.x, t_a, t_b)
         assert np.array_equal(m0, h.potential_on_grid(SMALL, 0.5 * (t_a + t_b)))
         assert np.all(d == 0.0)
+
+    @pytest.mark.parametrize("kind", ["sampled", "tabulated"])
+    @pytest.mark.parametrize("t_b, pieces", [(0.005, 1), (0.255, 26), (2.0, 200)])
+    def test_moments_memory_does_not_grow_with_the_pieces(self, kind, t_b, pieces):
+        # smooth_ramp's 201 knots at 2**14 points: V is never formed at the
+        # Gauss times, so the moments hold a few grid vectors (x, x^2 or the
+        # row weights, m0 and d) however many pieces the slice has
+        g = Grid(-12.0, 12.0, 2**14)
+        ts = np.linspace(0.0, 2.0, 201)
+        scale = 1 + 0.5 * np.sin(np.pi * ts / 2.0) ** 2
+        pot = case_potential(kind, ts, scale) if kind == "sampled" else (
+            PotentialSpec.tabulated(g.x, ts, np.outer(scale, 0.5 * g.x**2)))
+        assert gauss_pieces(pot.breakpoints(), 0.0, t_b)[0].size == pieces
+        pot.moments(g.x, 0.0, t_b)
+        tracemalloc.start()
+        try:
+            pot.moments(g.x, 0.0, t_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * g.points
 
     def test_step_slice_after_switch_is_exactly_quenched(self):
         h = quench_hamiltonian(0.25)

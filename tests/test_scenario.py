@@ -487,21 +487,17 @@ class TestValidate:
             "takes %d bytes, more than %d\n" % (MAX_SLICES, points, MAX_SLICES * points * 16,
                                                MAX_BASIS_BYTES)))
 
-    @pytest.mark.parametrize("slices, pieces, ok", [(1, 200, False), (3, 68, False),
-                                                    (4, 50, True)])
-    def test_slice_average_work_space_limit(self, tmp_path, capsys, slices, pieces, ok):
-        # a slice average holds V at two Gauss points of every piece of the
-        # slice and their sums and differences: 4 doubles per point and piece.
-        # smooth_ramp's 201 knots cut one slice of [0, 2] into 200 pieces, so a
-        # 2**20-point copy would hold 6.7 GB; 64 pieces fill MAX_BASIS_BYTES
+    @pytest.mark.parametrize("slices", [1, 3])
+    def test_many_pieces_per_slice_validate(self, tmp_path, capsys, slices):
+        # smooth_ramp's 201 knots cut one slice of [0, 2] into 200 pieces and
+        # each of 3 slices into up to 68.  A slice's moments of V take a few
+        # grid vectors whatever the piece count, so a 2**20-point copy, once
+        # refused for holding V at every piece's Gauss points, is valid
         doc = json.loads(Path(bundled_scenario_path("smooth_ramp")).read_text())
         doc["grid"]["points"] = 2**20
         doc["schedule"]["slices"] = slices
-        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == (0 if ok else 1)
-        assert capsys.readouterr().err == ("" if ok else (
-            "invalid scenario: schedule.slices: a %d x %d slice-average work space takes %d "
-            "bytes, more than %d\n" % (2**20, 4 * pieces, 2**20 * 4 * pieces * 8,
-                                       MAX_BASIS_BYTES)))
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_dirac_states_within_the_grid(self, tmp_path, capsys):
         # 250 states on 200 nodes failed in compare-dirac as a numpy broadcast error
@@ -1003,9 +999,11 @@ class TestConverge:
 
     def test_smooth_ramp_eigensolve_counts(self, tmp_path):
         # every run of `converge smooth_ramp --doublings 4`, in job order: the
-        # warm start is rejected twice on the 8-slice rung and nowhere else,
-        # and no factor has its predecessor's matrix, since V changes on
-        # every slice
+        # warm start is rejected twice on the 8-slice rung and nowhere else.
+        # V changes on every slice, but the ramp is symmetric about t = 1, so
+        # the two middle slices of the 8-, 64- and 128-slice averages round
+        # to the same S-bar and the second reuses the first's basis; no
+        # other factor has its predecessor's matrix
         cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
         converge_scenario(cfg, 4, str(tmp_path / "out"))
         doc = json.loads((tmp_path / "out" / "convergence.json").read_text())
@@ -1018,11 +1016,11 @@ class TestConverge:
         assert doc["eigensolves"] == [
             run(32, "cfm4", 63, 1),
             run(16, "cfm4", 31, 1),
-            run(8, "average", 5, 3, fallbacks=2),
+            run(8, "average", 4, 3, reused=1, fallbacks=2),
             run(16, "average", 15, 1),
             run(32, "average", 31, 1),
-            run(64, "average", 63, 1),
-            run(128, "average", 127, 1),
+            run(64, "average", 62, 1, reused=1),
+            run(128, "average", 126, 1, reused=1),
         ]
 
     def test_rungs_report_the_slices_they_ran(self, tmp_path, monkeypatch):
