@@ -173,6 +173,14 @@ class ScaleProfile:
             raise ValueError("time out of range")
         return np.interp(t, self.times, self.values)
 
+    def extent(self) -> tuple[float, float]:
+        """The least and the greatest value S takes."""
+        if self.kind == "sampled":
+            return float(self.values.min()), float(self.values.max())
+        if self.kind == "constant":
+            return self.eta, self.eta
+        return min(1.0, self.eta), max(1.0, self.eta)
+
     def discontinuities(self) -> list[float]:
         if self.kind == "step":
             return [self.t_on]
@@ -281,6 +289,17 @@ class PotentialSpec:
         if not (np.all(np.isfinite(m0)) and np.all(np.isfinite(d))):
             raise ValueError("potential evaluated to a non-finite value")
         return m0, d
+
+    def extremes(self, x) -> np.ndarray:
+        """Rows of V at x such that V(x, t) at every t is a convex
+        combination of two of them: the sample rows of a tabulated
+        potential, and k x^2 / 2 times the least and the greatest value of
+        S."""
+        if self.kind == "tabulated":
+            self._rows(x, self.t_samples[:1])  # x must be the sampled grid
+            return self.v_samples
+        return np.multiply.outer(0.5 * np.array(self.profile.extent()) * self.k,
+                                 np.asarray(x, dtype=float) ** 2)
 
     def _rows(self, x, t) -> tuple[np.ndarray, np.ndarray]:
         """(j, f) with V(x, t) = (1 - f) v[j] + f v[j + 1] at each time of t

@@ -41,6 +41,13 @@ to the full grid keeps orthonormality and Sturm counts.  A matrix that is
 not mirror-symmetric, or whose sectors fail a guard, is refined on the
 whole grid as before.
 
+`Sector` is the one fold and unfold of the package: the warm refine above,
+the initial eigenstate of a run and the sector route of
+`projection.evolve` all use it.  A sector stands in for its grid, with
+N/2 points and twice its dx, so `eigendecompose` solves, refines and
+guards a sector's matrix as it does any other, and `_finish` fixes each
+vector's sign as that of its unfolded state on the whole grid.
+
 The LAPACK routines come from scipy's compiled module
 `scipy.linalg._flapack`, loaded from its file at import time.  Importing
 the `scipy.linalg` package would also load numpy.f2py, numpy.testing and
@@ -60,7 +67,8 @@ import numpy as np
 
 from .core import Grid, HamiltonianSpec, WaveFunction
 
-__all__ = ["SymTridiagonal", "EigenBasis", "discretize", "eigendecompose", "residual"]
+__all__ = ["SymTridiagonal", "Sector", "EigenBasis", "discretize", "eigendecompose",
+           "mirror_symmetric", "residual"]
 
 # first eigenvector component larger than this fixes the overall sign
 _SIGN_THRESHOLD = 1e-8
@@ -149,6 +157,67 @@ class SymTridiagonal:
 
 
 @dataclass(frozen=True)
+class Sector:
+    """The states v of one parity on a grid of even size N, with h = N/2:
+    v[h-1-i] = parity * v[h+i], parity 1.0 (even) or -1.0 (odd).
+
+    Such a state is carried as its right half v[h:], the centre row first
+    and the wall row last, and `dx` is twice the grid's, so the package
+    metric on the half equals the grid's on the whole state.  With
+    `points` and `dx` a sector stands in for its grid in `eigendecompose`,
+    `EigenBasis`, `WaveFunction` and `project`.
+    """
+
+    grid: Grid
+    parity: float
+
+    def __post_init__(self):
+        if self.grid.points % 2:
+            raise ValueError("parity sectors need an even number of grid points")
+
+    @property
+    def points(self) -> int:
+        return self.grid.points // 2
+
+    @property
+    def dx(self) -> float:
+        return 2.0 * self.grid.dx
+
+    @property
+    def name(self) -> str:
+        return "even" if self.parity > 0 else "odd"
+
+    def states(self, retained: int) -> int:
+        """How many of the lowest `retained` states of a mirror-symmetric
+        Hamiltonian with a negative off-diagonal, as every one of
+        `tridiagonal_hamiltonian` has, lie in this sector: the even sector
+        is the lower one (see `_parity_sectors`) and holds ceil(M/2)."""
+        return (retained + 1) // 2 if self.parity > 0 else retained // 2
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """v[..., h:] + parity * v[..., h-1::-1], along the last axis: twice
+        the right half of a state of this parity, and zero for one of the
+        other."""
+        h = self.points
+        return v[..., h:] + self.parity * v[..., h - 1::-1]
+
+    def unfold(self, u: np.ndarray) -> np.ndarray:
+        """The whole-grid states whose right halves are u, along the last
+        axis, exactly."""
+        return np.concatenate((self.parity * u[..., ::-1], u), axis=-1)
+
+    def matrix(self, m: SymTridiagonal) -> SymTridiagonal:
+        """The sector's part of the mirror-symmetric part of m: h x h, the
+        symmetrized diagonal's right half d_s with d_s[0] + parity * e[h-1]
+        in its first entry, and the off-diagonal e[h:]."""
+        h = self.points
+        d, e = m.diagonal, m.off_diagonal
+        diagonal = 0.5 * (d[h:] + d[h - 1::-1])
+        diagonal[0] += self.parity * e[h - 1]
+        return SymTridiagonal(diagonal, e[h:])
+
+
+@dataclass(frozen=True)
 class EigenBasis:
     """Lowest-M eigenpairs of one frozen Hamiltonian.
 
@@ -160,7 +229,7 @@ class EigenBasis:
 
     energies: np.ndarray
     vectors: np.ndarray
-    source_grid: Grid
+    source_grid: Grid | Sector
     origin: str = "lapack"
 
     def __post_init__(self):
@@ -193,12 +262,13 @@ def tridiagonal_hamiltonian(h: HamiltonianSpec, grid: Grid,
     return SymTridiagonal(kin + np.asarray(v, float), off)
 
 
-def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
+def eigendecompose(m: SymTridiagonal, grid: Grid | Sector, truncation: int | None = None,
                    guess: EigenBasis | None = None) -> EigenBasis:
     """Lowest `truncation` eigenpairs (all of them when None).
 
     Eigenvectors come out l2-normalized and are divided by sqrt(dx) so the
     package inner product gives 1, then sign-fixed for reproducibility.
+    `grid` may be a `Sector`, for a matrix that `Sector.matrix` gave.
 
     `guess`, the eigenpairs of a nearby matrix with the same truncation, is
     refined when truncation < N (see `_refine`): on the matrix's two
@@ -243,15 +313,18 @@ def eigendecompose(m: SymTridiagonal, grid: Grid, truncation: int | None = None,
     return _finish(energies, vectors, grid, origin)
 
 
-def _finish(energies: np.ndarray, vectors: np.ndarray, grid: Grid,
+def _finish(energies: np.ndarray, vectors: np.ndarray, grid: Grid | Sector,
             origin: str) -> EigenBasis:
     """Basis from l2-normalized eigenvectors: rescaled to the package
     metric, and each column negated if its first component above
-    _SIGN_THRESHOLD (its largest one if none is) is negative."""
+    _SIGN_THRESHOLD (its largest one if none is) is negative.  The
+    components are counted from the grid's left wall, so on a sector, whose
+    rows mirror the left half, from its last row, times its parity."""
     vectors = vectors / np.sqrt(grid.dx)
-    big = np.abs(vectors) > _SIGN_THRESHOLD
-    lead = np.where(big.any(axis=0), big.argmax(axis=0), np.abs(vectors).argmax(axis=0))
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    view, parity = (vectors[::-1], grid.parity) if isinstance(grid, Sector) else (vectors, 1)
+    big = np.abs(view) > _SIGN_THRESHOLD
+    lead = np.where(big.any(axis=0), big.argmax(axis=0), np.abs(view).argmax(axis=0))
+    vectors *= np.where(parity * view[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return EigenBasis(energies, vectors, grid, origin)
 
 
@@ -326,84 +399,77 @@ def _passes(m: SymTridiagonal, theta: np.ndarray, v: np.ndarray, tol: float) -> 
     return np.linalg.norm(m.matvec(v.T) - v.T * theta, axis=0).max() <= tol
 
 
-def _parity_sectors(m: SymTridiagonal, h_norm: float
-                    ) -> tuple[SymTridiagonal, SymTridiagonal, float, float] | None:
-    """The parity sectors of a mirror-symmetric m, or None if N is odd, the
+def _parity_sectors(m: SymTridiagonal, h_norm: float) -> tuple[float, float] | None:
+    """(sign, asym) of a mirror-symmetric m, or None if N is odd, the
     off-diagonal is not exactly mirror-symmetric or the diagonal's asymmetry
-    max |d_i - d_{N-1-i}| exceeds _MIRROR_TOL * ||H||.
+    asym = max |d_i - d_{N-1-i}| exceeds _MIRROR_TOL * ||H||.
 
-    Returns (lower, upper, sign, asym).  With h = N/2 and the symmetrized
-    diagonal's right half d_s, both sectors are h x h with off-diagonal
-    e[h:], the centre row first and the wall last; `lower` holds vectors
-    u = v[h:] + sign * v[h-1::-1] and has d_s[0] + sign * e[h-1] in its
-    first entry, `upper` the other parity and d_s[0] - sign * e[h-1].  The
-    sign makes `lower` the sector with the smaller first entry: `upper` is
-    `lower` plus a positive rank-one term, so their eigenvalues interlace,
-    l_0 <= u_0 <= l_1 <= u_1 <= ..., and the lowest M states of m take
-    ceil(M/2) from `lower` and floor(M/2) from `upper`.
+    `sign` is the parity of the lower sector, the one whose first diagonal
+    entry d_s[0] + sign * e[N/2 - 1] is the smaller (see `Sector.matrix`):
+    the other is it plus a positive rank-one term, so their eigenvalues
+    interlace, l_0 <= u_0 <= l_1 <= u_1 <= ..., and the lowest M states of
+    m take ceil(M/2) from the lower sector and floor(M/2) from the other.
     """
     n = m.size
     if n % 2:
         return None
-    h = n // 2
     d, e = m.diagonal, m.off_diagonal
     asym = np.abs(d - d[::-1]).max()
     if asym > _MIRROR_TOL * h_norm or not np.array_equal(e, e[::-1]):
         return None
-    sign = 1.0 if e[h - 1] <= 0 else -1.0
-    half = 0.5 * (d[h:] + d[h - 1::-1])
-    lower, upper = half.copy(), half
-    lower[0] += sign * e[h - 1]
-    upper[0] -= sign * e[h - 1]
-    return SymTridiagonal(lower, e[h:]), SymTridiagonal(upper, e[h:]), sign, asym
+    return (1.0 if e[n // 2 - 1] <= 0 else -1.0), asym
+
+
+def mirror_symmetric(m: SymTridiagonal) -> bool:
+    """Whether m splits into parity sectors under `_parity_sectors`' rule."""
+    return _parity_sectors(m, _norm_bound(m)) is not None
 
 
 def _refine_sectors(m: SymTridiagonal, grid: Grid, v: np.ndarray,
                     h_norm: float) -> EigenBasis | None:
     """The lowest states of m, one per row of the guess v, refined on the
-    parity sectors that `_parity_sectors` gives, or None if m has none or a
+    parity sectors that `_parity_sectors` finds, or None if m has none or a
     sector fails its guards.
 
-    The guess's rows 0, 2, ... fold into `lower` and rows 1, 3, ... into
-    `upper`, and `_sweeps` refines each sector on N/2 rows.  The sectors are
-    those of the mirror-symmetric part H_s of H, and ||H - H_s|| <= asym/2,
-    so a sector residual below _RESIDUAL_TOL * ||H|| - asym/2 keeps the
-    residual with H itself below _RESIDUAL_TOL * ||H||.  Unfolding is
-    orthogonal, so each sector's rows must be orthonormal to
-    _ORTHONORMAL_TOL; and each sector's Sturm count at the highest refined
-    energy of both plus _STURM_MARGIN * ||H|| must equal its number of
-    states, so the two together are H_s's lowest.  H's eigenvalues lie
-    within asym/2 of H_s's, far inside that margin.  The unfolded states
-    alternate between the sectors, which keeps them in ascending order
-    because the sectors' eigenvalues interlace.
+    The guess's rows 0, 2, ... fold into the lower sector and rows 1, 3,
+    ... into the upper, and `_sweeps` refines each sector on N/2 rows.  The
+    sectors are those of the mirror-symmetric part H_s of H, and
+    ||H - H_s|| <= asym/2, so a sector residual below
+    _RESIDUAL_TOL * ||H|| - asym/2 keeps the residual with H itself below
+    _RESIDUAL_TOL * ||H||.  Unfolding is orthogonal, so each sector's rows
+    must be orthonormal to _ORTHONORMAL_TOL; and each sector's Sturm count
+    at the highest refined energy of both plus _STURM_MARGIN * ||H|| must
+    equal its number of states, so the two together are H_s's lowest.  H's
+    eigenvalues lie within asym/2 of H_s's, far inside that margin.  The
+    unfolded states alternate between the sectors, which keeps them in
+    ascending order because the sectors' eigenvalues interlace.
     """
-    sectors = _parity_sectors(m, h_norm)
-    if sectors is None:
+    mirror = _parity_sectors(m, h_norm)
+    if mirror is None:
         return None
-    lower, upper, sign, asym = sectors
-    n = m.size
-    h = n // 2
+    sign, asym = mirror
     tol = _RESIDUAL_TOL * h_norm - 0.5 * asym
+    sectors = Sector(grid, sign), Sector(grid, -sign)
     refined = []
-    for sector, rows, fold in ((lower, v[0::2], sign), (upper, v[1::2], -sign)):
+    for sector, rows in zip(sectors, (v[0::2], v[1::2])):
+        matrix = sector.matrix(m)
         if rows.shape[0] == 0:  # one state: the upper sector holds none
-            refined.append((np.empty(0), np.empty((0, h))))
+            refined.append((matrix, np.empty(0), np.empty((0, sector.points))))
             continue
-        pairs = _sweeps(sector, rows[:, h:] + fold * rows[:, h - 1::-1], tol)
+        pairs = _sweeps(matrix, sector.fold(rows), tol)
         if pairs is None:
             return None
-        refined.append(pairs)
-    shift = max(theta.max(initial=-np.inf) for theta, _ in refined) + _STURM_MARGIN * h_norm
-    for sector, (theta, u) in zip((lower, upper), refined):
+        refined.append((matrix, *pairs))
+    shift = max(theta.max(initial=-np.inf) for _, theta, _ in refined) + _STURM_MARGIN * h_norm
+    for matrix, theta, u in refined:
         if (np.abs(u @ u.T - np.eye(theta.size)).max(initial=0.0) > _ORTHONORMAL_TOL
-                or _count_below(sector, shift) != theta.size):
+                or _count_below(matrix, shift) != theta.size):
             return None
-    (theta_l, u_l), (theta_u, u_u) = refined
     energies = np.empty(v.shape[0])
-    energies[0::2], energies[1::2] = theta_l, theta_u
-    unfolded = np.empty((v.shape[0], n))
-    unfolded[0::2, h:], unfolded[0::2, :h] = u_l, sign * u_l[:, ::-1]
-    unfolded[1::2, h:], unfolded[1::2, :h] = u_u, -sign * u_u[:, ::-1]
+    unfolded = np.empty((v.shape[0], m.size))
+    for first, (sector, (_, theta, u)) in enumerate(zip(sectors, refined)):
+        energies[first::2] = theta
+        unfolded[first::2] = sector.unfold(u)
     unfolded *= np.sqrt(0.5)
     return _finish(energies, unfolded.T, grid, "refined")
 

@@ -25,6 +25,23 @@ the exponential midpoint rule, second order in the slice width.  "cfm4" is
 the fourth-order commutator-free Magnus scheme (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470:151, 2009; Alvermann & Fehske, J. Comput. Phys. 230:5930,
 2011): two half-width factors with potentials m0 - d and m0 + d.
+
+A state of one parity stays in it under a mirror-symmetric H, so `evolve`
+carries it on half the grid.  The route is taken once per run, when one
+parity part of psi0 is exactly zero and V is mirror-symmetric on the grid
+at every t, judged from V's form by the rule the warm refine applies to a
+matrix (`evolution_sector`).  The state then lives in the parity sector of
+N/2 rows, with ceil(M/2) even or floor(M/2) odd states, and the other
+parity's coefficients are exactly 0.0.  The sector evolves the symmetrized
+diagonal, within asym/2, about 1e-16 ||H||, of H itself.  Every bundled
+`run` and `converge` starts in an eigenstate solved on its sector, and so
+takes the route.  compare-dirac does not: its initial state is a column of
+the whole grid's basis that also builds the amplitude equations, and its
+odd part, about 1e-15, is not zero.  It stays there on purpose: its
+multi-projection and RK4 amplitudes agree to rounding (5.15e-15 on
+dirac_weak), and the benchmark reads that rounding as its accuracy with a
+relative bound only, which a sector route moved to 1.57e-14.  It can move
+once that metric has an absolute floor (ROADMAP.md, item 1).
 """
 
 from __future__ import annotations
@@ -36,7 +53,8 @@ import numpy as np
 
 from .core import (Grid, HamiltonianSpec, PotentialSpec, WaveFunction, inner_product,
                    norm_squared)
-from .eigensolver import EigenBasis, SymTridiagonal, eigendecompose, tridiagonal_hamiltonian
+from .eigensolver import (EigenBasis, Sector, SymTridiagonal, eigendecompose, mirror_symmetric,
+                          tridiagonal_hamiltonian)
 
 __all__ = [
     "ProjectionStepReport",
@@ -45,6 +63,7 @@ __all__ = [
     "project",
     "reconstruct",
     "intermediate_energy",
+    "evolution_sector",
     "evolve",
 ]
 
@@ -70,13 +89,16 @@ class EvolutionResult:
     "lapack" ones.  `eigensolve_s` is the wall time spent in those
     `eigendecompose` calls, and `project_s` the wall time spent carrying the
     state into each new basis and back onto the grid (`project` and
-    `_rebuild`)."""
+    `_rebuild`).  `parity` names the sector the state was carried on,
+    "even" or "odd", or is None where it was carried on the whole grid (see
+    `evolve`)."""
 
     final_state: WaveFunction
     reports: tuple[ProjectionStepReport, ...]
     eigensolves: dict[str, int] = field(default_factory=dict)
     eigensolve_s: float = 0.0
     project_s: float = 0.0
+    parity: str | None = None
 
 
 def slice_boundaries(potential: PotentialSpec, t0: float, t1: float,
@@ -154,6 +176,31 @@ def _slice_factors(h: HamiltonianSpec, grid: Grid, t_a: float, t_b: float,
             (tridiagonal_hamiltonian(h, grid, m0 + d), 0.5)]
 
 
+def evolution_sector(psi0: WaveFunction, h: HamiltonianSpec) -> Sector | None:
+    """The parity sector `evolve` carries psi0 on, or None for the whole
+    grid.
+
+    A sector is taken when one parity part of psi0 is exactly zero (so the
+    grid has an even number of points) and every one of V's
+    `PotentialSpec.extremes`, the rows whose convex combinations give V at
+    every t, makes a matrix that `mirror_symmetric` accepts.  The asymmetry
+    of a convex combination is at most the larger of its two rows', so V is
+    then mirror-symmetric on the grid at every t.
+    """
+    grid = psi0.grid
+    if grid.points % 2:
+        return None
+    for parity in (1.0, -1.0):
+        if not np.any(Sector(grid, -parity).fold(psi0.amplitudes)):
+            break
+    else:
+        return None
+    if all(mirror_symmetric(tridiagonal_hamiltonian(h, grid, v))
+           for v in h.potential.extremes(grid.x)):
+        return Sector(grid, parity)
+    return None
+
+
 def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices: int,
            truncation: int | None = None,
            scheme: str = "average") -> EvolutionResult:
@@ -174,6 +221,22 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
     final state.  A potential without breakpoints does not depend on t, so
     its factors are built once for the whole run.
 
+    Where `evolution_sector` finds one, the state is carried on its parity
+    sector: psi0 is folded once onto its right half, N/2 rows, and each
+    factor's matrix onto the sector (`Sector.matrix`), whose lowest
+    ceil(M/2) even or floor(M/2) odd states are the ones of the lowest M of
+    the whole grid's that psi0 can reach (`Sector.states`).  The same loop
+    then solves, refines, projects and applies phases on the sector, and
+    only the final state is unfolded onto the grid, exactly mirror-symmetric
+    or antisymmetric.  The sector's matrix has the symmetrized diagonal,
+    within asym/2 of H, about 1e-16 ||H|| on every bundled potential.  The
+    reports still hold M coefficients in the whole grid's order, the
+    sector's at every second index from 0 (even) or 1 (odd) and exactly 0.0
+    at the others.  ValueError if the sector holds none of the M states
+    (an odd psi0 with M = 1).
+    Any other psi0, compare-dirac's among them (see the module docstring),
+    is carried on the whole grid.
+
     Returns per-slice reports with the coefficients (phases applied), the
     norm sum |C_k|^2 and the energy sum E_k |C_k|^2 / sum |C_k|^2 at the
     end of the slice.  For the rebuilt state psi = V C these equal <psi|psi>
@@ -188,6 +251,20 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
     state = psi0
     if not np.all(np.isfinite(state.amplitudes)):
         raise ValueError("non-finite state")
+    sector = evolution_sector(psi0, h)
+    if sector is not None:
+        retained = grid.points if truncation is None else min(truncation, grid.points)
+        truncation = sector.states(retained)
+        if truncation == 0 and retained > 0:  # below 1, eigendecompose says so
+            raise ValueError("zero-norm state: psi0 is odd and the one retained state "
+                             "even")
+        state = WaveFunction(sector, 0.5 * sector.fold(psi0.amplitudes))
+        full = np.zeros(retained, dtype=complex)
+        first = 0 if sector.parity > 0 else 1
+
+    def factors(t_a: float, t_b: float) -> list[tuple[SymTridiagonal, float]]:
+        pairs = _slice_factors(h, grid, t_a, t_b, scheme)
+        return pairs if sector is None else [(sector.matrix(m), w) for m, w in pairs]
 
     diagonal = basis = coeffs = None
     phases = {}  # step width -> exp(-i E dt / hbar) in the current basis
@@ -197,13 +274,11 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
     bounds = slice_boundaries(h.potential, t0, t1, slices)
     # V without breakpoints does not depend on t (every kind that does has
     # some), so every slice has the first slice's factors
-    static = (_slice_factors(h, grid, bounds[0], bounds[1], scheme)
-              if h.potential.breakpoints().size == 0 else None)
+    static = factors(bounds[0], bounds[1]) if h.potential.breakpoints().size == 0 else None
     for j in range(bounds.size - 1):
         refreshed = False
         width = bounds[j + 1] - bounds[j]
-        for matrix, share in static or _slice_factors(h, grid, bounds[j], bounds[j + 1],
-                                                      scheme):
+        for matrix, share in static or factors(bounds[j], bounds[j + 1]):
             dt = share * width
             # only the diagonal depends on the time; a static V's factors
             # hold the very diagonal already solved
@@ -215,7 +290,7 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
                 project_s += time.perf_counter() - tick
                 tick = time.perf_counter()
                 try:
-                    basis = eigendecompose(matrix, grid, truncation, guess=basis)
+                    basis = eigendecompose(matrix, state.grid, truncation, guess=basis)
                 except RuntimeError as exc:
                     raise RuntimeError("eigensolver failed at slice %d" % j) from exc
                 eigensolve_s += time.perf_counter() - tick
@@ -240,10 +315,12 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
         nsq = float(weights.sum())
         if nsq == 0.0:
             raise ValueError("zero-norm state has no energy expectation")
+        if sector is not None:
+            full[first::2] = coeffs
         reports.append(ProjectionStepReport(
             slice_index=j,
             t_end=float(bounds[j + 1]),
-            coefficients=coeffs,
+            coefficients=coeffs if sector is None else full.copy(),
             norm_squared=nsq,
             energy=float(basis.energies @ weights) / nsq,
             basis_refreshed=refreshed,
@@ -251,10 +328,13 @@ def evolve(psi0: WaveFunction, h: HamiltonianSpec, t0: float, t1: float, slices:
 
     tick = time.perf_counter()
     state = _rebuild(coeffs, basis, bounds.size - 2)
+    if sector is not None:
+        state = WaveFunction(grid, sector.unfold(state.amplitudes))
     project_s += time.perf_counter() - tick
     return EvolutionResult(final_state=state, reports=tuple(reports),
                            eigensolves=counts, eigensolve_s=eigensolve_s,
-                           project_s=project_s)
+                           project_s=project_s,
+                           parity=None if sector is None else sector.name)
 
 
 def _rebuild(coeffs: np.ndarray, basis: EigenBasis, j: int) -> WaveFunction:

@@ -30,9 +30,9 @@ import numpy as np
 from . import dirac as dirac_mod
 from .core import (Grid, HamiltonianSpec, PotentialSpec, ScaleProfile, WaveFunction,
                    inner_product, norm_squared)
-from .eigensolver import (SymTridiagonal, _count_below, discretize, eigendecompose,
-                          tridiagonal_hamiltonian)
-from .projection import evolve, project, slice_boundaries
+from .eigensolver import (Sector, SymTridiagonal, _count_below, discretize, eigendecompose,
+                          mirror_symmetric, tridiagonal_hamiltonian)
+from .projection import evolution_sector, evolve, project, slice_boundaries
 
 __all__ = [
     "ScenarioConfig",
@@ -117,6 +117,7 @@ class RunSummary:
     phase_vs_reference: float | None
     wall_time_s: float
     eigensolves: dict[str, int]
+    parity: str | None = None
 
 
 def _check_keys(section: dict, allowed: set[str], where: str, errors: list[str]):
@@ -471,6 +472,14 @@ def parse_scenario(path: str) -> ScenarioConfig:
                     errors.append("grid: too coarse for basis.truncation %d: only %d "
                                   "eigenvalues lie below min V + hbar^2/(2 mass dx^2), a "
                                   "quarter of the kinetic band" % (truncation, resolved))
+            # evolve carries a state of one parity on its sector, and the odd
+            # one holds none of a single retained state, the even ground state
+            sector = None if amplitudes is None else evolution_sector(
+                WaveFunction(grid, amplitudes), HamiltonianSpec(mass, hbar, potential))
+            if sector is not None and sector.states(retained) == 0:
+                errors.append("initial_state.amplitude_file: the state is odd and V "
+                              "mirror-symmetric, so the one retained state, which is "
+                              "even, holds none of it; give basis.truncation >= 2")
 
     if errors:
         raise ScenarioError(errors)
@@ -516,14 +525,7 @@ def _wells(h: HamiltonianSpec, grid: Grid,
             times.append(t0)
         wells = h.potential_on_grid(grid, np.array(times))
     else:
-        profile = pot.profile
-        if profile.kind == "sampled":
-            scale = float(profile.values.max())
-        elif profile.kind == "constant":
-            scale = profile.eta
-        else:
-            scale = max(1.0, profile.eta)
-        wells = [0.5 * scale * pot.k * grid.x**2]
+        wells = [0.5 * pot.profile.extent()[1] * pot.k * grid.x**2]
     quarter_band = 0.5 * h.hbar**2 / (h.mass * grid.dx**2)
     return [(tridiagonal_hamiltonian(h, grid, v), v.min() + quarter_band) for v in wells]
 
@@ -585,12 +587,19 @@ def _output_files(directory: str) -> Iterator[Callable[[str], TextIO]]:
 
 
 def _initial_state(config: ScenarioConfig) -> WaveFunction:
+    """The amplitude file's state, or eigenstate n of H at t0.  Where that
+    H is mirror-symmetric, state n is state n // 2 of the even (n even) or
+    odd sector (see `Sector.states`), solved on N/2 rows and unfolded
+    exactly, so that `evolve` carries it on its sector."""
     if config.amplitudes is not None:
         return WaveFunction(config.grid, config.amplitudes)
     n = config.eigenstate
-    basis = eigendecompose(discretize(config.hamiltonian, config.grid, config.t0),
-                           config.grid, n + 1)
-    return basis.state(n)
+    matrix = discretize(config.hamiltonian, config.grid, config.t0)
+    if not mirror_symmetric(matrix):
+        return eigendecompose(matrix, config.grid, n + 1).state(n)
+    sector = Sector(config.grid, -1.0 if n % 2 else 1.0)
+    basis = eigendecompose(sector.matrix(matrix), sector, n // 2 + 1)
+    return WaveFunction(config.grid, sector.unfold(basis.vectors[:, n // 2]))
 
 
 def _reference_hamiltonian(config: ScenarioConfig) -> HamiltonianSpec:
@@ -647,6 +656,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
             phase_vs_reference=phase,
             wall_time_s=time.perf_counter() - start,
             eigensolves=result.eigensolves,
+            parity=result.parity,
         )
 
         tick = time.perf_counter()
@@ -664,6 +674,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
                     "phase_vs_reference": summary.phase_vs_reference,
                     "wall_time_s": summary.wall_time_s,
                     "eigensolves": summary.eigensolves,
+                    "parity": summary.parity,
                     "timings": {"evolve_s": evolve_s,
                                 "eigensolve_s": eigensolve_s,
                                 "project_s": project_s,
@@ -865,18 +876,18 @@ def _worker(call: Callable[[], Any], conn, cpu: int | None) -> None:
 
 
 def _evolve_jobs(config: ScenarioConfig, psi0: WaveFunction, jobs: Sequence[tuple[int, str]]
-                 ) -> list[tuple[np.ndarray, dict[str, int], int]]:
+                 ) -> list[tuple[np.ndarray, dict[str, int], int, str | None]]:
     """The runs of `converge`, one per (slices, scheme) job: each run's
-    final amplitudes, eigensolve counts and the slices it took, one per
-    report."""
+    final amplitudes, eigensolve counts, the slices it took, one per
+    report, and the sector it was carried on."""
     results = (evolve(psi0, config.hamiltonian, config.t0, config.t1, n_slices,
                       config.truncation, scheme=scheme) for n_slices, scheme in jobs)
-    return [(result.final_state.amplitudes, result.eigensolves, len(result.reports))
-            for result in results]
+    return [(result.final_state.amplitudes, result.eigensolves, len(result.reports),
+             result.parity) for result in results]
 
 
-def _run_jobs(config: ScenarioConfig, psi0: WaveFunction,
-             jobs: list[tuple[int, str]]) -> list[tuple[np.ndarray, dict[str, int], int]]:
+def _run_jobs(config: ScenarioConfig, psi0: WaveFunction, jobs: list[tuple[int, str]]
+             ) -> list[tuple[np.ndarray, dict[str, int], int, str | None]]:
     """`_evolve_jobs` of `jobs`, in job order, shared among min(jobs, CPUs)
     `_forked` workers, or run here where one worker would do.  Longest
     processing time first (Graham 1969) keeps the workers' loads close:
@@ -913,7 +924,8 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
     `reference_error_estimate`: the L2 distance from the reference to a
     cfm4 run at half its slices (null for a one-slice reference), which is
     an estimate of the reference's error, not a bound; and `eigensolves`,
-    each run's eigensolve counts (reference, estimate, then the rungs).
+    each run's eigensolve counts and the sector it was carried on
+    (reference, estimate, then the rungs).
     Every slice count written is the count of the run's reports, one per
     slice it took: the uniform slices plus each jump of V inside (t0, t1)
     that `slice_boundaries` adds.
@@ -961,7 +973,7 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
         ref_estimate = distance(ref, runs[1][0]) if ref_slices > 1 else None
         rows = []
         errors = []
-        for final, _, n_slices in runs[-len(ladder):]:
+        for final, _, n_slices, _ in runs[-len(ladder):]:
             err = distance(final, ref)
             errors.append(err)
             if len(errors) == 1:
@@ -978,8 +990,9 @@ def converge_scenario(config: ScenarioConfig, doublings: int,
                              "reference_slices": runs[0][2],
                              "reference_error_estimate": ref_estimate,
                              "eigensolves": [
-                                 {"scheme": scheme, "slices": taken, "counts": counts}
-                                 for (_, scheme), (_, counts, taken) in zip(jobs, runs)]})
+                                 {"scheme": scheme, "slices": taken, "counts": counts,
+                                  "parity": parity}
+                                 for (_, scheme), (_, counts, taken, parity) in zip(jobs, runs)]})
         return [(n_slices, err) for n_slices, err, _ in rows]
 
 

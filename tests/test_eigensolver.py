@@ -22,6 +22,7 @@ from mpsolve import (
 from mpsolve import eigensolver
 from mpsolve.eigensolver import (
     _RESIDUAL_TOL,
+    Sector,
     _count_below,
     _finish,
     _norm_bound,
@@ -29,7 +30,7 @@ from mpsolve.eigensolver import (
     _shifted_solve,
 )
 from mpsolve.projection import evolve
-from mpsolve.scenario import bundled_scenario_path, parse_scenario
+from mpsolve.scenario import _initial_state, bundled_scenario_path, parse_scenario
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -427,15 +428,56 @@ class TestParitySectors:
 
     def test_bundled_smooth_ramp_refines_every_factor_on_half_the_grid(self, monkeypatch):
         cfg = parse_scenario(bundled_scenario_path("smooth_ramp"))
-        psi0 = eigendecompose(discretize(cfg.hamiltonian, cfg.grid, cfg.t0),
-                              cfg.grid, 1).state(0)
+        psi0 = _initial_state(cfg)
         widths = solve_widths(monkeypatch)
         result = evolve(psi0, cfg.hamiltonian, cfg.t0, cfg.t1, 64, truncation=cfg.truncation)
         # the ramp is symmetric about t = 1, so slice 32 rounds to slice 31's
         # average and reuses its basis; every other factor is refined
         assert result.eigensolves == {"reused": 1, "refined": 62, "lapack": 1, "fallbacks": 0}
-        # two sectors, each with an RQI and a Rayleigh-Ritz sweep
-        assert widths == [cfg.grid.points // 2] * (4 * 62)
+        # the even ground state is carried on the even sector alone: one
+        # sector per factor, with an RQI and a Rayleigh-Ritz sweep
+        assert result.parity == "even"
+        assert widths == [cfg.grid.points // 2] * (2 * 62)
+
+
+class TestSector:
+    GRID = Grid(-12.0, 12.0, 512)
+
+    @pytest.mark.parametrize("parity", [1.0, -1.0])
+    def test_fold_and_unfold_are_exact(self, parity):
+        rng = np.random.default_rng(5)
+        sector, other = Sector(self.GRID, parity), Sector(self.GRID, -parity)
+        half = rng.normal(size=256) + 1j * rng.normal(size=256)
+        v = sector.unfold(half)
+        assert np.array_equal(v[:256], parity * v[256:][::-1])
+        assert np.array_equal(0.5 * sector.fold(v), half)
+        assert not np.any(other.fold(v))
+        assert sector.points == 256 and sector.dx == 2 * self.GRID.dx
+
+    @pytest.mark.parametrize("truncation", [1, 2, 7, 48])
+    def test_sector_bases_are_the_whole_grids_parity_states(self, truncation):
+        # the lowest M states of an even H take ceil(M/2) even and floor(M/2)
+        # odd ones; each sector's cold solve, unfolded, is the whole grid's,
+        # sign included
+        matrix = harmonic_matrix(1.0, self.GRID)
+        whole = eigendecompose(matrix, self.GRID, truncation)
+        for first, parity in enumerate((1.0, -1.0)):
+            sector = Sector(self.GRID, parity)
+            states = sector.states(truncation)
+            assert states == whole.energies[first::2].size
+            if states == 0:
+                continue
+            basis = eigendecompose(sector.matrix(matrix), sector, states)
+            assert basis.source_grid is sector
+            assert np.abs(basis.energies - whole.energies[first::2]).max() <= 1e-12
+            unfolded = sector.unfold(basis.vectors.T).T
+            assert np.abs(unfolded - whole.vectors[:, first::2]).max() <= 1e-12
+            gram = self.GRID.dx * unfolded.T @ unfolded
+            assert np.abs(gram - np.eye(states)).max() <= 1e-13
+
+    def test_sector_of_an_odd_grid_is_refused(self):
+        with pytest.raises(ValueError, match="even number"):
+            Sector(Grid(-1.0, 1.0, 5), 1.0)
 
 
 def _bit_matrices() -> dict:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from mpsolve import (
 )
 from mpsolve import projection
 from mpsolve.core import gauss_pieces
-from mpsolve.projection import SCHEMES, _slice_factors
+from mpsolve.eigensolver import Sector
+from mpsolve.projection import SCHEMES, _slice_factors, evolution_sector
+from mpsolve.scenario import bundled_scenario_path, compare_dirac_scenario, parse_scenario
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -594,6 +597,115 @@ class TestEvolve:
         bad = WaveFunction(GRID, np.full(1024, np.nan, dtype=complex))
         with pytest.raises(ValueError, match="non-finite"):
             evolve(bad, HARMONIC, 0.0, 1.0, 2)
+
+
+def parity_eigenstate(h, grid, n):
+    """Eigenstate n of H at t = 0, solved as state n // 2 of its parity
+    sector and unfolded: exactly mirror-symmetric or antisymmetric."""
+    sector = Sector(grid, -1.0 if n % 2 else 1.0)
+    basis = eigendecompose(sector.matrix(discretize(h, grid, 0.0)), sector, n // 2 + 1)
+    return WaveFunction(grid, sector.unfold(basis.vectors[:, n // 2]))
+
+
+def on_the_whole_grid(*args, **kwargs):
+    """`evolve` with the sector route turned off: the whole-grid loop."""
+    with mock.patch.object(projection, "evolution_sector", lambda psi0, h: None):
+        return evolve(*args, **kwargs)
+
+
+def assert_same_run(a, b):
+    """Two EvolutionResults hold the very same bits."""
+    assert a.eigensolves == b.eigensolves and a.parity == b.parity
+    for ra, rb in zip(a.reports, b.reports, strict=True):
+        assert np.array_equal(ra.coefficients, rb.coefficients)
+        assert (ra.energy, ra.norm_squared) == (rb.energy, rb.norm_squared)
+    assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+
+
+@st.composite
+def parity_cases(draw):
+    """(psi0, h, slices, truncation, scheme, n) on [0, 2]: eigenstate n of
+    an even ramp on a symmetric grid of an even number of points, with M
+    states retained, all of them well resolved by the grid."""
+    g = Grid(-8.0, 8.0, 2 * draw(st.integers(48, 128)))
+    values = draw(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=9))
+    prof = ScaleProfile.sampled(np.linspace(0.0, 2.0, len(values)), values)
+    h = HamiltonianSpec(1.0, 1.0, PotentialSpec.scaled_harmonic(1.0, prof))
+    truncation = draw(st.integers(2, 10))
+    n = draw(st.integers(0, min(truncation - 1, 5)))
+    return (parity_eigenstate(h, g, n), h, draw(st.integers(1, 12)), truncation,
+            draw(st.sampled_from(SCHEMES)), n)
+
+
+class TestParitySector:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(parity_cases())
+    def test_sector_matches_the_whole_grid(self, case):
+        psi0, h, slices, truncation, scheme, n = case
+        sector = evolve(psi0, h, 0.0, 2.0, slices, truncation, scheme=scheme)
+        whole = on_the_whole_grid(psi0, h, 0.0, 2.0, slices, truncation, scheme=scheme)
+        parity = -1.0 if n % 2 else 1.0
+        assert evolution_sector(psi0, h) == Sector(psi0.grid, parity)
+        assert sector.parity == ("odd" if n % 2 else "even") and whole.parity is None
+        for rs, rw in zip(sector.reports, whole.reports, strict=True):
+            assert rs.coefficients.size == rw.coefficients.size == truncation
+            assert not np.any(rs.coefficients[1 - n % 2::2])
+            assert rs.norm_squared == pytest.approx(rw.norm_squared, rel=1e-12, abs=0.0)
+            assert rs.energy == pytest.approx(rw.energy, rel=1e-12, abs=0.0)
+        a, b = sector.final_state.amplitudes, whole.final_state.amplitudes
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        half = a.size // 2
+        assert np.array_equal(a[:half], parity * a[half:][::-1])
+
+    def test_odd_state_with_no_odd_retained_state_has_zero_norm(self):
+        g = Grid(-8.0, 8.0, 64)
+        psi0 = parity_eigenstate(HARMONIC, g, 1)
+        with pytest.raises(ValueError, match="psi0 is odd and the one retained state even"):
+            evolve(psi0, HARMONIC, 0.0, 1.0, 2, truncation=1)
+
+    @pytest.mark.parametrize("case", ["off_centre_grid", "odd_points", "mixed_parity",
+                                      "asymmetric_potential"])
+    def test_other_states_keep_the_whole_grid(self, case):
+        # each is carried on the whole grid, by the very loop that runs with
+        # the sector route turned off
+        h = smooth_ramp_hamiltonian()
+        g = {"off_centre_grid": Grid(-11.0, 13.0, 512),
+             "odd_points": Grid(-12.0, 12.0, 511)}.get(case, Grid(-12.0, 12.0, 512))
+        if case == "asymmetric_potential":
+            v = 0.5 * g.x**2 + 0.05 * g.x
+            h = HamiltonianSpec(1.0, 1.0, PotentialSpec.tabulated(g.x, [0.0, 2.0],
+                                                                  [v, 1.5 * v]))
+        ground = eigendecompose(discretize(h, g, 0.0), g, 2)
+        if case == "mixed_parity":
+            psi0 = WaveFunction(g, parity_eigenstate(h, g, 0).amplitudes
+                                + 0.5 * parity_eigenstate(h, g, 1).amplitudes)
+        elif case == "odd_points":
+            psi0 = ground.state(0)
+        else:  # exactly mirror-symmetric about the grid's centre
+            half = ground.vectors[g.points // 2:, 0]
+            psi0 = WaveFunction(g, np.concatenate((half[::-1], half)))
+        assert evolution_sector(psi0, h) is None
+        res = evolve(psi0, h, 0.0, 2.0, 16, truncation=24)
+        assert res.parity is None
+        assert_same_run(res, on_the_whole_grid(psi0, h, 0.0, 2.0, 16, truncation=24))
+
+    @pytest.mark.parametrize("name", ["quench_eta025", "dirac_weak"])
+    def test_compare_dirac_keeps_the_whole_grid(self, name, tmp_path, monkeypatch):
+        # compare-dirac starts from the whole grid's eigenstate, whose odd
+        # part is rounding but not zero
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append((args, kwargs, evolve(*args, **kwargs)))
+            return runs[-1][2]
+
+        monkeypatch.setattr("mpsolve.scenario.evolve", recorded)
+        compare_dirac_scenario(parse_scenario(bundled_scenario_path(name)), str(tmp_path))
+        [(args, kwargs, res)] = runs
+        a = args[0].amplitudes
+        assert 0.0 < np.abs(a[a.size // 2:] - a[a.size // 2 - 1::-1]).max() < 1e-13
+        assert res.parity is None
+        assert_same_run(res, on_the_whole_grid(*args, **kwargs))
 
 
 class TestCfm4:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
 from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec
-from mpsolve.eigensolver import discretize, eigendecompose
+from mpsolve.eigensolver import Sector, discretize, eigendecompose
 from mpsolve.projection import ProjectionStepReport, evolve
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
@@ -499,6 +499,33 @@ class TestValidate:
         assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("truncation", [1, 2])
+    def test_odd_state_needs_an_odd_retained_state(self, tmp_path, capsys, truncation):
+        # an exactly odd state under an even V is carried on the odd sector,
+        # and a truncation of 1 keeps only the even ground state: the run
+        # used to end with a norm of 5e-31
+        x = Grid(-12.0, 12.0, 64).x[32:]
+        half = x * np.exp(-x**2 / 2)
+        amps = np.concatenate((-half[::-1], half))
+        (tmp_path / "amps.csv").write_text(
+            "re,im\n" + "".join("%r,0.0\n" % a for a in amps.tolist()))
+        doc = with_change(quench_doc(points=64, truncation=truncation), ("initial_state",),
+                          {"amplitude_file": "amps.csv"})
+        doc["outputs"]["emit"] = ["summary"]
+        path = write_scenario(tmp_path, doc)
+        if truncation == 1:
+            assert cli_main(["validate", path]) == 1
+            assert capsys.readouterr().err == (
+                "invalid scenario: initial_state.amplitude_file: the state is odd and V "
+                "mirror-symmetric, so the one retained state, which is even, holds none "
+                "of it; give basis.truncation >= 2\n")
+            return
+        assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["parity"] == "odd"
+        assert summary["final_coefficients"][0][1:] == [0.0, 0.0]
+        assert summary["final_norm"] > 0.5
+
     def test_dirac_states_within_the_grid(self, tmp_path, capsys):
         # 250 states on 200 nodes failed in compare-dirac as a numpy broadcast error
         doc = with_change(quench_doc(points=200, truncation=8), ("dirac",),
@@ -910,11 +937,25 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         counts = summary["eigensolves"]
         assert sorted(counts) == ["fallbacks", "lapack", "refined", "reused"]
+        assert summary["parity"] == "even"
         assert counts["reused"] + counts["refined"] + counts["lapack"] == 8
         assert counts["refined"] > 0 and counts["fallbacks"] <= counts["lapack"]
         timings = summary["timings"]
         assert 0.0 < timings["eigensolve_s"] <= timings["evolve_s"]
         assert 0.0 < timings["project_s"] <= timings["evolve_s"] - timings["eigensolve_s"]
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_initial_eigenstate_is_exactly_of_one_parity(self, tmp_path, n):
+        doc = with_change(quench_doc(points=256, truncation=8), ("initial_state",),
+                          {"eigenstate": n})
+        cfg = parse_scenario(write_scenario(tmp_path, doc))
+        a = scenario_mod._initial_state(cfg).amplitudes
+        parity = -1.0 if n % 2 else 1.0
+        assert np.array_equal(a[:128], parity * a[128:][::-1])
+        whole = eigendecompose(discretize(cfg.hamiltonian, cfg.grid, 0.0), cfg.grid, n + 1)
+        assert np.abs(a - whole.vectors[:, n]).max() <= 1e-12
+        assert scenario_mod.evolution_sector(scenario_mod._initial_state(cfg),
+                                             cfg.hamiltonian) == Sector(cfg.grid, parity)
 
     def test_initial_state_solved_once_with_reference(self, tmp_path, monkeypatch):
         solves = []
@@ -1011,7 +1052,8 @@ class TestConverge:
         def run(slices, scheme, refined, lapack, reused=0, fallbacks=0):
             return {"scheme": scheme, "slices": slices,
                     "counts": {"reused": reused, "refined": refined, "lapack": lapack,
-                               "fallbacks": fallbacks}}
+                               "fallbacks": fallbacks},
+                    "parity": "even"}
 
         assert doc["eigensolves"] == [
             run(32, "cfm4", 63, 1),
@@ -1053,7 +1095,8 @@ class TestConverge:
                        "eigensolves": [
                            {"scheme": scheme, "slices": slices,
                             "counts": {"reused": slices * factors - 1, "refined": 0,
-                                       "lapack": 1, "fallbacks": 0}}
+                                       "lapack": 1, "fallbacks": 0},
+                            "parity": "even"}
                            for scheme, slices, factors in [
                                ("cfm4", 1, 2), ("average", 1, 1), ("average", 2, 1),
                                ("average", 4, 1)]]}
