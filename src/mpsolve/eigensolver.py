@@ -20,30 +20,9 @@ or `dstein` does not converge, full-accuracy `dstebz` bisection and then
 `dstein` serve; a full basis comes from `dstevd`.  These are the calls scipy's
 `eigh_tridiagonal` makes, so the results are bit-identical to it.
 
-A warm refine of a mirror-symmetric matrix runs on half the grid.  With J
-the reversal of the grid, JHJ = H makes H block-diagonal in the even and
-odd vectors, two tridiagonal sectors of size N/2 (Cantoni and Butler,
-Linear Algebra Appl. 13:275, 1976): half the rows to solve, and a quarter
-of the Rayleigh-Ritz work.  Every bundled potential is even in x on a
-symmetric grid, but the nodes' rounding leaves the diagonal symmetric only
-to about 1e-16 ||H||, so the sectors (`_parity_sectors`) are those of the
-symmetrized diagonal, and are taken when N is even, the off-diagonal is
-exactly mirror-symmetric and the diagonal's asymmetry is at most
-_MIRROR_TOL = _RESIDUAL_TOL / 16 times ||H||.  Each sector holds its
-centre row first and its wall row last: with the centre last, 4 of the
-63 warm refines of smooth_ramp over 64 slices met an exactly zero pivot
-in `dgtsv` and were redone on the whole grid.
-The two sectors' eigenvalues interlace, so the lowest M states take
-ceil(M/2) from the lower one and floor(M/2) from the other
-(`_refine_sectors`).  The sector guards bound the whole-grid ones: the
-residual tolerance is reduced by the asymmetry's norm bound, and unfolding
-to the full grid keeps orthonormality and Sturm counts.  A matrix that is
-not mirror-symmetric, or whose sectors fail a guard, is refined on the
-whole grid as before.
-
-`Sector` is the one fold and unfold of the package: the warm refine above,
-the initial eigenstate of a run and the sector route of
-`projection.evolve` all use it.  A sector stands in for its grid, with
+`Sector` is the one parity split of the package: the initial eigenstate
+of a run and the sector route of `projection.evolve` use it, on a matrix
+that `mirror_symmetric` accepts.  A sector stands in for its grid, with
 N/2 points and twice its dx, so `eigendecompose` solves, refines and
 guards a sector's matrix as it does any other, and `_finish` fixes each
 vector's sign as that of its unfolded state on the whole grid.
@@ -79,7 +58,7 @@ _SIGN_THRESHOLD = 1e-8
 # taken, well above that residual and well below the level spacing.
 _RESIDUAL_TOL = 64 * np.finfo(float).eps
 # largest asymmetry max |d_i - d_{N-1-i}| of the diagonal, relative to
-# ||H||, at which a warm refine runs on the two parity sectors
+# ||H||, at which `mirror_symmetric` accepts a matrix
 _MIRROR_TOL = _RESIDUAL_TOL / 16
 _STURM_MARGIN = 1e-9
 _ORTHONORMAL_TOL = 1e-12
@@ -161,11 +140,23 @@ class Sector:
     """The states v of one parity on a grid of even size N, with h = N/2:
     v[h-1-i] = parity * v[h+i], parity 1.0 (even) or -1.0 (odd).
 
+    With J the reversal of the grid, JHJ = H makes a mirror-symmetric H
+    block-diagonal in the even and odd states, two tridiagonal sectors of
+    size N/2 (Cantoni and Butler, Linear Algebra Appl. 13:275, 1976): half
+    the rows to solve, and a quarter of the Rayleigh-Ritz work.  The
+    nodes' rounding leaves the diagonal of an even potential on a
+    symmetric grid symmetric only to about 1e-16 ||H||, so a sector's
+    matrix is that of the symmetrized diagonal (`matrix`).
+
     Such a state is carried as its right half v[h:], the centre row first
-    and the wall row last, and `dx` is twice the grid's, so the package
-    metric on the half equals the grid's on the whole state.  With
-    `points` and `dx` a sector stands in for its grid in `eigendecompose`,
-    `EigenBasis`, `WaveFunction` and `project`.
+    and the wall row last: with the centre last, 2 of the 124 shifted
+    solves that smooth_ramp's 62 warm refines over 64 slices make meet an
+    exactly zero pivot in `dgtsv` at the same shifts, and a refine that
+    meets one before its pairs converge falls back to the cold path.
+    `dx` is twice the grid's, so the package metric on the half equals the
+    grid's on the whole state.  With `points` and `dx` a sector stands in
+    for its grid in `eigendecompose`, `EigenBasis`, `WaveFunction` and
+    `project`.
     """
 
     grid: Grid
@@ -189,9 +180,12 @@ class Sector:
 
     def states(self, retained: int) -> int:
         """How many of the lowest `retained` states of a mirror-symmetric
-        Hamiltonian with a negative off-diagonal, as every one of
-        `tridiagonal_hamiltonian` has, lie in this sector: the even sector
-        is the lower one (see `_parity_sectors`) and holds ceil(M/2)."""
+        Hamiltonian with a negative off-diagonal e, as every one of
+        `tridiagonal_hamiltonian` has, lie in this sector.  The odd
+        sector's matrix is the even one's plus the positive rank-one term
+        -2 e[h-1] in its first entry (see `matrix`), so their eigenvalues
+        interlace, even_0 <= odd_0 <= even_1 <= ..., and the even sector
+        holds ceil(M/2)."""
         return (retained + 1) // 2 if self.parity > 0 else retained // 2
 
     def fold(self, v: np.ndarray) -> np.ndarray:
@@ -270,13 +264,9 @@ def eigendecompose(m: SymTridiagonal, grid: Grid | Sector, truncation: int | Non
     package inner product gives 1, then sign-fixed for reproducibility.
     `grid` may be a `Sector`, for a matrix that `Sector.matrix` gave.
 
-    `guess`, the eigenpairs of a nearby matrix with the same truncation, is
-    refined when truncation < N (see `_refine`): on the matrix's two
-    parity sectors of size N/2 when N is even and the matrix is
-    mirror-symmetric to within _MIRROR_TOL * ||H|| (see the module
-    docstring), and on the whole grid otherwise or if that fails.  The
-    sector route keeps the whole grid's guards, the sign convention and
-    the energy order.  The basis records how it was obtained in `origin`:
+    `guess`, the eigenpairs of a nearby matrix with the same truncation on
+    the same grid or sector, is refined when truncation < N (see
+    `_refine`).  The basis records how it was obtained in `origin`:
     "refined", "fallback" (every refinement failed a guard or the guess
     has the wrong shape; the cold result, bit-identical to a call without
     guess) or "lapack" (no guess, or the full basis).  A cold partial basis
@@ -328,23 +318,19 @@ def _finish(energies: np.ndarray, vectors: np.ndarray, grid: Grid | Sector,
     return EigenBasis(energies, vectors, grid, origin)
 
 
-def _refine(m: SymTridiagonal, grid: Grid, guess: EigenBasis,
+def _refine(m: SymTridiagonal, grid: Grid | Sector, guess: EigenBasis,
             truncation: int) -> EigenBasis | None:
-    """Lowest `truncation` eigenpairs of m refined from `guess`, or None.
+    """Lowest `truncation` eigenpairs of m refined from `guess` by `_sweeps`
+    on all of m's rows, or None.
 
-    A mirror-symmetric m is refined on its two parity sectors first
-    (`_refine_sectors`); if m is not mirror-symmetric or that fails a guard,
-    the guess is refined on the whole grid by `_sweeps`.  The result is kept
-    only if every residual is <= _RESIDUAL_TOL * ||H||, the vectors are
-    orthonormal to _ORTHONORMAL_TOL and exactly `truncation` eigenvalues lie
-    below the highest refined one plus _STURM_MARGIN * ||H||.
+    The result is kept only if every residual is <= _RESIDUAL_TOL * ||H||,
+    the vectors are orthonormal to _ORTHONORMAL_TOL and exactly
+    `truncation` eigenvalues lie below the highest refined one plus
+    _STURM_MARGIN * ||H||.
     """
     if guess.vectors.shape != (m.size, truncation):
         return None
     h_norm = _norm_bound(m)
-    basis = _refine_sectors(m, grid, guess.vectors.T, h_norm)
-    if basis is not None:
-        return basis
     refined = _sweeps(m, guess.vectors.T, _RESIDUAL_TOL * h_norm)
     if refined is None:
         return None
@@ -399,82 +385,16 @@ def _passes(m: SymTridiagonal, theta: np.ndarray, v: np.ndarray, tol: float) -> 
     return np.linalg.norm(m.matvec(v.T) - v.T * theta, axis=0).max() <= tol
 
 
-def _parity_sectors(m: SymTridiagonal, h_norm: float) -> tuple[float, float] | None:
-    """(sign, asym) of a mirror-symmetric m, or None if N is odd, the
-    off-diagonal is not exactly mirror-symmetric or the diagonal's asymmetry
-    asym = max |d_i - d_{N-1-i}| exceeds _MIRROR_TOL * ||H||.
-
-    `sign` is the parity of the lower sector, the one whose first diagonal
-    entry d_s[0] + sign * e[N/2 - 1] is the smaller (see `Sector.matrix`):
-    the other is it plus a positive rank-one term, so their eigenvalues
-    interlace, l_0 <= u_0 <= l_1 <= u_1 <= ..., and the lowest M states of
-    m take ceil(M/2) from the lower sector and floor(M/2) from the other.
-    """
-    n = m.size
-    if n % 2:
-        return None
-    d, e = m.diagonal, m.off_diagonal
-    asym = np.abs(d - d[::-1]).max()
-    if asym > _MIRROR_TOL * h_norm or not np.array_equal(e, e[::-1]):
-        return None
-    return (1.0 if e[n // 2 - 1] <= 0 else -1.0), asym
-
-
 def mirror_symmetric(m: SymTridiagonal) -> bool:
-    """Whether m splits into parity sectors under `_parity_sectors`' rule."""
-    return _parity_sectors(m, _norm_bound(m)) is not None
+    """Whether m splits into the two parity sectors of `Sector`: N is even,
+    the off-diagonal is exactly mirror-symmetric and the diagonal's
+    asymmetry max |d_i - d_{N-1-i}| is at most _MIRROR_TOL * ||H||."""
+    d, e = m.diagonal, m.off_diagonal
+    return bool(m.size % 2 == 0 and np.array_equal(e, e[::-1])
+                and np.abs(d - d[::-1]).max() <= _MIRROR_TOL * _norm_bound(m))
 
 
-def _refine_sectors(m: SymTridiagonal, grid: Grid, v: np.ndarray,
-                    h_norm: float) -> EigenBasis | None:
-    """The lowest states of m, one per row of the guess v, refined on the
-    parity sectors that `_parity_sectors` finds, or None if m has none or a
-    sector fails its guards.
-
-    The guess's rows 0, 2, ... fold into the lower sector and rows 1, 3,
-    ... into the upper, and `_sweeps` refines each sector on N/2 rows.  The
-    sectors are those of the mirror-symmetric part H_s of H, and
-    ||H - H_s|| <= asym/2, so a sector residual below
-    _RESIDUAL_TOL * ||H|| - asym/2 keeps the residual with H itself below
-    _RESIDUAL_TOL * ||H||.  Unfolding is orthogonal, so each sector's rows
-    must be orthonormal to _ORTHONORMAL_TOL; and each sector's Sturm count
-    at the highest refined energy of both plus _STURM_MARGIN * ||H|| must
-    equal its number of states, so the two together are H_s's lowest.  H's
-    eigenvalues lie within asym/2 of H_s's, far inside that margin.  The
-    unfolded states alternate between the sectors, which keeps them in
-    ascending order because the sectors' eigenvalues interlace.
-    """
-    mirror = _parity_sectors(m, h_norm)
-    if mirror is None:
-        return None
-    sign, asym = mirror
-    tol = _RESIDUAL_TOL * h_norm - 0.5 * asym
-    sectors = Sector(grid, sign), Sector(grid, -sign)
-    refined = []
-    for sector, rows in zip(sectors, (v[0::2], v[1::2])):
-        matrix = sector.matrix(m)
-        if rows.shape[0] == 0:  # one state: the upper sector holds none
-            refined.append((matrix, np.empty(0), np.empty((0, sector.points))))
-            continue
-        pairs = _sweeps(matrix, sector.fold(rows), tol)
-        if pairs is None:
-            return None
-        refined.append((matrix, *pairs))
-    shift = max(theta.max(initial=-np.inf) for _, theta, _ in refined) + _STURM_MARGIN * h_norm
-    for matrix, theta, u in refined:
-        if (np.abs(u @ u.T - np.eye(theta.size)).max(initial=0.0) > _ORTHONORMAL_TOL
-                or _count_below(matrix, shift) != theta.size):
-            return None
-    energies = np.empty(v.shape[0])
-    unfolded = np.empty((v.shape[0], m.size))
-    for first, (sector, (_, theta, u)) in enumerate(zip(sectors, refined)):
-        energies[first::2] = theta
-        unfolded[first::2] = sector.unfold(u)
-    unfolded *= np.sqrt(0.5)
-    return _finish(energies, unfolded.T, grid, "refined")
-
-
-def _cold(m: SymTridiagonal, grid: Grid, truncation: int,
+def _cold(m: SymTridiagonal, grid: Grid | Sector, truncation: int,
           origin: str) -> EigenBasis | None:
     """Lowest `truncation` eigenpairs of m without a guess, or None.
 

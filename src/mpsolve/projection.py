@@ -29,8 +29,8 @@ Phys. Rep. 470:151, 2009; Alvermann & Fehske, J. Comput. Phys. 230:5930,
 A state of one parity stays in it under a mirror-symmetric H, so `evolve`
 carries it on half the grid.  The route is taken once per run, when one
 parity part of psi0 is exactly zero and V is mirror-symmetric on the grid
-at every t, judged from V's form by the rule the warm refine applies to a
-matrix (`evolution_sector`).  The state then lives in the parity sector of
+at every t, judged from V's form by `mirror_symmetric`'s rule
+(`evolution_sector`).  The state then lives in the parity sector of
 N/2 rows, with ceil(M/2) even or floor(M/2) odd states, and the other
 parity's coefficients are exactly 0.0.  The sector evolves the symmetrized
 diagonal, within asym/2, about 1e-16 ||H||, of H itself.  Every bundled
@@ -41,7 +41,9 @@ odd part, about 1e-15, is not zero.  It stays there on purpose: its
 multi-projection and RK4 amplitudes agree to rounding (5.15e-15 on
 dirac_weak), and the benchmark reads that rounding as its accuracy with a
 relative bound only, which a sector route moved to 1.57e-14.  It can move
-once that metric has an absolute floor (ROADMAP.md, item 1).
+once that metric has an absolute floor (ROADMAP.md, item 1).  Any state
+carried on the whole grid is solved and refined there on all N rows, also
+under a mirror-symmetric V.
 """
 
 from __future__ import annotations

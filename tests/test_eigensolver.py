@@ -1,4 +1,5 @@
 import importlib.machinery
+import os
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from mpsolve import (
     HamiltonianSpec,
     PotentialSpec,
     SymTridiagonal,
+    WaveFunction,
     discretize,
     eigendecompose,
     inner_product,
     residual,
 )
 from mpsolve import eigensolver
+from mpsolve import scenario as scenario_mod
 from mpsolve.eigensolver import (
     _RESIDUAL_TOL,
     Sector,
@@ -28,9 +31,12 @@ from mpsolve.eigensolver import (
     _norm_bound,
     _orthonormal_and_lowest,
     _shifted_solve,
+    mirror_symmetric,
+    tridiagonal_hamiltonian,
 )
-from mpsolve.projection import evolve
-from mpsolve.scenario import _initial_state, bundled_scenario_path, parse_scenario
+from mpsolve.projection import evolution_sector, evolve
+from mpsolve.scenario import (_initial_state, bundled_scenario_path, compare_dirac_scenario,
+                              converge_scenario, parse_scenario, run_scenario)
 
 GRID = Grid(-12.0, 12.0, 1024)
 HARMONIC = HamiltonianSpec(1.0, 1.0, PotentialSpec.harmonic(1.0))
@@ -301,7 +307,7 @@ def solve_widths(monkeypatch) -> list:
 
 def whole_grid_refine(m, grid, guess):
     """The warm refine on the whole grid, its residual taken on the finished
-    basis: the reference that a matrix which is not mirror-symmetric must
+    basis: the reference that every refine of a whole-grid matrix must
     match bit for bit."""
     h_norm = _norm_bound(m)
     v = guess.vectors.T
@@ -326,57 +332,69 @@ def whole_grid_refine(m, grid, guess):
 
 
 class TestParitySectors:
-    # a coarse box for the small grids, where the refine then succeeds on
-    # both routes (on [-12, 12] some of them fall back to the cold path)
+    # a coarse box for the small grids, where every refine then succeeds
+    # (on [-12, 12] some of them fall back to the cold path)
     @pytest.mark.parametrize("n, m", [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 5),
                                       (64, 1), (64, 8), (64, 9), (512, 48), (1024, 64)])
     @pytest.mark.parametrize("off_sign", [1.0, -1.0], ids=["negative_off", "positive_off"])
     def test_sector_route_passes_the_full_guards(self, n, m, off_sign, monkeypatch):
-        # with a positive off-diagonal the ground state is odd: the sectors
-        # swap, and the spectrum is the same
+        # each sector of the states M retains is refined warm on its N/2
+        # rows; with a positive off-diagonal the odd sector is the lower one,
+        # which the refine does not assume either way
         g = Grid(-3.0, 3.0, n) if n < 64 else Grid(-12.0, 12.0, n)
 
         def matrix(k):
             h = harmonic_matrix(k, g)
             return SymTridiagonal(h.diagonal, off_sign * h.off_diagonal)
 
-        guess, target = eigendecompose(matrix(1.0), g, m), matrix(1.01)
         widths = solve_widths(monkeypatch)
-        sectors = eigendecompose(target, g, m, guess=guess)
-        assert sectors.origin == "refined" and set(widths) == {n // 2}
-        h_norm = _norm_bound(target)
-        assert residual(target, sectors).max() * np.sqrt(g.dx) <= _RESIDUAL_TOL * h_norm
-        assert _orthonormal_and_lowest(target, sectors, h_norm)
-        assert np.all(np.diff(sectors.energies) > 0)
-        monkeypatch.setattr(eigensolver, "_parity_sectors", lambda *args: None)
-        widths.clear()
-        whole = eigendecompose(target, g, m, guess=guess)
-        assert whole.origin == "refined" and set(widths) == {n}
-        assert np.abs(sectors.energies - whole.energies).max() <= 1e-12
-        assert np.abs(sectors.vectors - whole.vectors).max() <= 1e-12
+        for parity in (1.0, -1.0):
+            sector = Sector(g, parity)
+            states = sector.states(m)
+            if states == 0:  # one state: the odd sector holds none
+                continue
+            guess = eigendecompose(sector.matrix(matrix(1.0)), sector, states)
+            target = sector.matrix(matrix(1.01))
+            widths.clear()
+            warm = eigendecompose(target, sector, states, guess=guess)
+            if states == sector.points:  # (4, 3) and (6, 5): a full basis is never refined
+                assert warm.origin == "lapack" and not widths
+            else:
+                assert warm.origin == "refined" and set(widths) == {n // 2}
+            h_norm = _norm_bound(target)
+            assert residual(target, warm).max() * np.sqrt(sector.dx) <= _RESIDUAL_TOL * h_norm
+            assert _orthonormal_and_lowest(target, warm, h_norm)
+            assert np.all(np.diff(warm.energies) > 0)
+            cold = eigendecompose(target, sector, states)
+            assert np.abs(warm.energies - cold.energies).max() <= 1e-12
+            assert np.abs(warm.vectors - cold.vectors).max() <= 1e-12
 
     @pytest.mark.parametrize("excess, taken", [(0.5, True), (2.0, False)])
-    def test_selection_rule(self, excess, taken, monkeypatch):
+    def test_selection_rule(self, excess, taken):
         # one diagonal entry moved off the mirror by `excess` times the
-        # largest asymmetry the sectors take; the guards are those of H itself
+        # largest asymmetry `mirror_symmetric` accepts, in the later of two
+        # sample rows of a tabulated V; an even state is carried on the even
+        # sector only if every row passes
         g = Grid(-12.0, 12.0, 512)
-        guess = eigendecompose(harmonic_matrix(1.0, g), g, 48)
-        base = harmonic_matrix(1.01, g)
-        d = 0.5 * (base.diagonal + base.diagonal[::-1])
-        h_norm = _norm_bound(base)
-        d[100] += excess * eigensolver._MIRROR_TOL * h_norm
-        target = SymTridiagonal(d, base.off_diagonal)
+        rows = []
+        for k in (1.0, 1.01):
+            v = 0.5 * k * g.x**2
+            rows.append(0.5 * (v + v[::-1]))
+        h_norm = _norm_bound(tridiagonal_hamiltonian(HARMONIC, g, rows[1]))
+        rows[1][100] += excess * eigensolver._MIRROR_TOL * h_norm
+        h = HamiltonianSpec(1.0, 1.0, PotentialSpec.tabulated(g.x, [0.0, 1.0], rows))
+        target = discretize(h, g, 1.0)
         assert _norm_bound(target) == h_norm
-        widths = solve_widths(monkeypatch)
-        basis = eigendecompose(target, g, 48, guess=guess)
-        assert basis.origin == "refined"
-        assert set(widths) == {256 if taken else 512}
-        assert residual(target, basis).max() * np.sqrt(g.dx) <= _RESIDUAL_TOL * h_norm
-        assert _orthonormal_and_lowest(target, basis, h_norm)
+        assert mirror_symmetric(discretize(h, g, 0.0))
+        assert mirror_symmetric(target) is taken
+        psi0 = WaveFunction(g, Sector(g, 1.0).unfold(np.exp(-0.5 * g.x[256:] ** 2)))
+        assert evolution_sector(psi0, h) == (Sector(g, 1.0) if taken else None)
 
     @pytest.mark.parametrize("case", ["shifted_grid", "odd_term", "odd_points",
-                                      "off_diagonal"])
+                                      "off_diagonal", "symmetric"])
     def test_asymmetric_matrix_refines_on_the_whole_grid(self, case, monkeypatch):
+        # every matrix given on the whole grid is refined on all N rows,
+        # a mirror-symmetric one too
         g = Grid(-11.9, 12.1, 512) if case == "shifted_grid" else Grid(
             -12.0, 12.0, 513 if case == "odd_points" else 512)
         if case == "odd_term":
@@ -390,7 +408,7 @@ class TestParitySectors:
             e[0] *= 1.0 + 1e-15
             target = SymTridiagonal(target.diagonal, e)
         guess = eigendecompose(start, g, 48)
-        assert eigensolver._parity_sectors(target, _norm_bound(target)) is None
+        assert mirror_symmetric(target) is (case == "symmetric")
         widths = solve_widths(monkeypatch)
         basis = eigendecompose(target, g, 48, guess=guess)
         assert basis.origin == "refined" and set(widths) == {g.points}
@@ -399,30 +417,37 @@ class TestParitySectors:
         assert np.array_equal(basis.vectors, expected.vectors)
 
     def test_sector_guess_missing_the_ground_state_falls_back(self, monkeypatch):
-        # states 2, 1, 4, 3, ..., 24, 23: each has the parity of its column,
-        # so each sector refines its states to exact eigenpairs, and only the
-        # sectors' Sturm counts see that the lowest state is missing
+        # the even sector's states 1..12 refine to exact eigenpairs; only the
+        # Sturm count sees that the lowest one is missing
         g = Grid(-12.0, 12.0, 512)
-        matrix = harmonic_matrix(1.0, g)
-        above = eigendecompose(matrix, g, 25)
-        order = (np.arange(24) ^ 1) + 1
-        guess = EigenBasis(above.energies[order], above.vectors[:, order], g)
+        sector = Sector(g, 1.0)
+        matrix = sector.matrix(harmonic_matrix(1.0, g))
+        above = eigendecompose(matrix, sector, 13)
+        guess = EigenBasis(above.energies[1:], above.vectors[:, 1:], sector)
         widths = solve_widths(monkeypatch)
-        warm = eigendecompose(matrix, g, 24, guess=guess)
+        warm = eigendecompose(matrix, sector, 12, guess=guess)
         assert warm.origin == "fallback" and widths[0] == 256
-        assert np.array_equal(warm.vectors, eigendecompose(matrix, g, 24).vectors)
+        assert np.array_equal(warm.vectors, eigendecompose(matrix, sector, 12).vectors)
 
     def test_singular_solve_after_convergence_keeps_the_sector_pairs(self, monkeypatch):
-        # RQI takes the lower sector's shifts so close to its eigenvalues that
-        # the next solve meets an exactly zero pivot (dgtsv info 3); the pairs
-        # already pass the residual guard and are kept, on N/2 rows
-        g = Grid(-1.0, 1.0, 6)
-        guess = eigendecompose(harmonic_matrix(1.0, g), g, 3)
-        matrix = harmonic_matrix(1.001, g)
-        widths = solve_widths(monkeypatch)
-        warm = eigendecompose(matrix, g, 3, guess=guess)
-        assert warm.origin == "refined" and widths == [3] * 4
-        cold = eigendecompose(matrix, g, 3)
+        # RQI takes the even sector's shifts so close to its eigenvalues that
+        # the next solve meets an exactly zero pivot; the pairs already pass
+        # the residual guard and are kept
+        g = Grid(-1.0, 1.0, 16)
+        sector = Sector(g, 1.0)
+        guess = eigendecompose(sector.matrix(harmonic_matrix(1.0, g)), sector, 3)
+        matrix = sector.matrix(harmonic_matrix(1.001, g))
+        widths, solve = [], eigensolver._shifted_solve
+
+        def recorded(m, shifts, rows):
+            y = solve(m, shifts, rows)
+            widths.append((rows.shape[1], y is None))
+            return y
+
+        monkeypatch.setattr(eigensolver, "_shifted_solve", recorded)
+        warm = eigendecompose(matrix, sector, 3, guess=guess)
+        assert warm.origin == "refined" and widths == [(8, False), (8, True)]
+        cold = eigendecompose(matrix, sector, 3)
         assert np.abs(warm.vectors - cold.vectors).max() < 1e-13
         assert np.abs(warm.energies - cold.energies).max() < 1e-13
 
@@ -438,6 +463,26 @@ class TestParitySectors:
         # sector per factor, with an RQI and a Rayleigh-Ritz sweep
         assert result.parity == "even"
         assert widths == [cfg.grid.points // 2] * (2 * 62)
+
+    def test_bundled_commands_refine_only_on_half_the_grid(self, tmp_path, monkeypatch):
+        # every shifted solve of `run` on each bundled scenario, of `converge
+        # smooth_ramp --doublings 2` and of compare-dirac on its two
+        # scenarios has N/2 rows: no bundled command refines on the whole grid
+        monkeypatch.setattr(scenario_mod, "_available_cpus", lambda: 1)  # converge runs here
+        folder = os.path.dirname(bundled_scenario_path("smooth_ramp"))
+        names = sorted(f[:-len(".json")] for f in os.listdir(folder) if f.endswith(".json"))
+        commands = [(name, run_scenario) for name in names]
+        commands.append(("smooth_ramp", lambda cfg, out: converge_scenario(cfg, 2, out)))
+        commands += [(name, compare_dirac_scenario) for name in ("quench_eta025", "dirac_weak")]
+        widths = solve_widths(monkeypatch)
+        solves = 0
+        for i, (name, command) in enumerate(commands):
+            cfg = parse_scenario(bundled_scenario_path(name))
+            command(cfg, str(tmp_path / str(i)))
+            assert set(widths) <= {cfg.grid.points // 2}, name
+            solves += len(widths)
+            widths.clear()
+        assert solves > 0
 
 
 class TestSector:

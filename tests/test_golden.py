@@ -8,13 +8,10 @@ comparator scenarios the way `mpsolve compare-dirac` compares them.  These
 values guard refactors of the engine: a change that keeps the numerics must
 reproduce them.  smooth_ramp is pinned at the exact slice average of its
 piecewise-linear ramp; the 16-point Gauss-Legendre average it replaced gave
-values up to 9.9e-7 away.  Its warm refines run on the two parity sectors
-of the mirror-symmetric matrix, which moved its values by at most 9.4e-14
-relative from those of the whole-grid refine.  Its slice averages take the
-two-point Gauss rule on the scale S and scale x^2 once, instead of summing V
-over the Gauss points on the grid, which moved its values by at most
-1.3e-13 relative.  `converge smooth_ramp` is pinned looser, see
-GOLDEN_CONVERGE.
+values up to 9.9e-7 away.  Its slice averages take the two-point Gauss
+rule on the scale S and scale x^2 once, instead of summing V over the Gauss
+points on the grid, which moved its values by at most 1.3e-13 relative.
+`converge smooth_ramp` is pinned looser, see GOLDEN_CONVERGE.
 
 Every bundled run starts in eigenstate 0 of an even potential on a
 symmetric grid, and is carried on the even sector of N/2 rows: its odd
@@ -27,6 +24,8 @@ about 1e-15, and stays on the whole grid: its diff_mp_rk4 on dirac_weak is
 rounding, which the benchmark reads as its accuracy with a relative bound
 only, so GOLDEN_DIRAC holds the very bits it held before the route.  It
 can move once that metric has an absolute floor (ROADMAP.md, item 1).
+No bundled command refines a basis on the whole grid, so no value here
+depends on how a whole-grid refine treats a mirror-symmetric matrix.
 """
 
 import csv
