@@ -6,8 +6,9 @@
     mpsolve validate <scenario.json>
 
 Exit codes: 0 success; 1 invalid or unreadable scenario, with one
-`invalid scenario:` line per violation on stderr; 2 any failure after
-validation, writing stdout included, with its message.
+`invalid scenario:` line per violation on stderr; 2 a usage error, such as
+an empty --out, or any failure after validation, writing stdout included,
+with its message.
 Every command takes one failure path: the scenario file and the command run
 under one handler, and a command's drivers remove the files they wrote
 before a failure or an interrupt reaches it (`scenario._output_files`).
@@ -29,6 +30,13 @@ from .scenario import (
 )
 
 
+def _directory(value: str) -> str:
+    """An --out value: like `outputs.directory`, it may not be empty."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mpsolve",
                                      description=__doc__.splitlines()[0])
@@ -36,17 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evolve a scenario and emit CSV/JSON")
     p_run.add_argument("scenario")
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", type=_directory, help="output directory override")
 
     p_conv = sub.add_parser("converge", help="slice-doubling convergence study")
     p_conv.add_argument("scenario")
     p_conv.add_argument("--doublings", type=int, required=True)
-    p_conv.add_argument("--out", default=None)
+    p_conv.add_argument("--out", type=_directory)
 
     p_cmp = sub.add_parser("compare-dirac",
                            help="compare against amplitude-equation baselines")
     p_cmp.add_argument("scenario")
-    p_cmp.add_argument("--out", default=None)
+    p_cmp.add_argument("--out", type=_directory)
 
     p_val = sub.add_parser("validate", help="check a scenario file")
     p_val.add_argument("scenario")

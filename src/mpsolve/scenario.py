@@ -19,8 +19,8 @@ import shutil
 import sys
 import tempfile
 import time
-from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, replace
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -67,10 +67,12 @@ MAX_SLICES = 2**18
 # rows per formatted block in _write_csv
 _CSV_BLOCK = 2048
 # coefficients.csv rows above which a forked worker formats half of them.  A row
-# takes about 4 us to format, and the worker costs about 5 ms (the fork, its
-# copy-on-write faults, the join and the append): on 2 cores the split broke
-# even near 4000 rows and saved about 20 ms at 16384, where a busy second CPU
-# would cost little more than those 5 ms
+# takes about 2.5 us to format, or 0.5 us if its coefficient is exactly zero
+# (the other sector's rows of a one-parity run), and the worker costs about
+# 7 ms (the fork, its copy-on-write faults, the join and the append): on 2
+# cores the split broke even between 8192 and 16384 rows, saved about 7 ms at
+# 16384, and about 30-70 ms on stationary's 64000, where a busy second CPU
+# would cost little more than those 7 ms
 _SPLIT_ROWS = 8 * _CSV_BLOCK
 
 
@@ -110,6 +112,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """What `run_scenario` returns.  Its summary.json holds these fields in
+    this order, `final_coefficients` as [k, re, im] rows, then `timings`."""
+
     scenario_hash: str
     final_energy_ratio: float
     final_norm: float
@@ -370,6 +375,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
     out_dir = outputs.get("directory", "out")
     if not isinstance(out_dir, str):
         errors.append("outputs.directory: expected a path string")
+    elif not out_dir:
+        errors.append("outputs.directory: must not be empty")
     emit = outputs.get("emit", list(EMIT_CHOICES))
     if not isinstance(emit, list):
         errors.append("outputs.emit: expected a list")
@@ -662,72 +669,58 @@ def run_scenario(config: ScenarioConfig, out_dir: str | None = None) -> RunSumma
         tick = time.perf_counter()
         coefficients_s = _write_slice_files(create, config.emit, result.reports)
         if "summary" in config.emit:
+            doc = asdict(summary)
+            doc["final_coefficients"] = [[k, float(c.real), float(c.imag)]
+                                         for k, c in enumerate(summary.final_coefficients)]
+            doc["timings"] = {"evolve_s": evolve_s, "eigensolve_s": eigensolve_s,
+                              "project_s": project_s, "coefficients_s": coefficients_s,
+                              "output_s": time.perf_counter() - tick}
             with create("summary.json") as fh:
-                _write_json(fh, {
-                    "scenario_hash": summary.scenario_hash,
-                    "final_energy_ratio": summary.final_energy_ratio,
-                    "final_norm": summary.final_norm,
-                    "final_coefficients": [
-                        [k, float(c.real), float(c.imag)]
-                        for k, c in enumerate(summary.final_coefficients)
-                    ],
-                    "phase_vs_reference": summary.phase_vs_reference,
-                    "wall_time_s": summary.wall_time_s,
-                    "eigensolves": summary.eigensolves,
-                    "parity": summary.parity,
-                    "timings": {"evolve_s": evolve_s,
-                                "eigensolve_s": eigensolve_s,
-                                "project_s": project_s,
-                                "coefficients_s": coefficients_s,
-                                "output_s": time.perf_counter() - tick},
-                })
+                _write_json(fh, doc)
         return summary
 
 
+_COEFFICIENT_HEADER = ["slice", "k", "re", "im", "abs2"]
 _COEFFICIENT_ROW = "%d,%d,%.17g,%.17g,%.17g"
 
 
 def _write_slice_files(create: Callable[[str], TextIO], emit: Sequence[str],
                        reports: Sequence) -> float:
     """energy.csv and coefficients.csv, each if `emit` names it; returns the
-    seconds spent on coefficients.csv.
+    seconds spent on coefficients.csv, 0.0 if it is not written.
 
     A coefficients.csv of more than _SPLIT_ROWS rows is written on two
     processes where `_available_cpus` gives two: one `_forked` worker
     formats the rows of the second half of the slices into an unnamed file
-    beside it, while this process writes energy.csv and the first half.
-    That file is then appended in bounded chunks, and it is closed, so gone,
-    on every way out.  Each row is formatted on its own, so the bytes are
-    those of a serial write.  A failure on either side raises here as
-    RuntimeError."""
+    beside it, while this process writes the first half.  That file is then
+    appended in bounded chunks, and it is closed, so gone, on every way out.
+    Each row is formatted on its own, so the bytes are those of a serial
+    write.  A failure on either side raises here as RuntimeError."""
+    if "energy" in emit:
+        with create("energy.csv") as fh:
+            _write_csv(fh, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
+                       ((r.t_end, r.energy, r.norm_squared) for r in reports))
+    if "coefficients" not in emit:
+        return 0.0
     tick = time.perf_counter()
-    split, calls = len(reports), []
-    with ExitStack() as files:
-        if "coefficients" in emit:
-            fh = files.enter_context(create("coefficients.csv"))
-            if split * reports[0].coefficients.size > _SPLIT_ROWS and _available_cpus() > 1:
-                # beside the output, not in a temporary directory that may be
-                # held in memory: a large run's rows take gigabytes
-                spill = files.enter_context(tempfile.TemporaryFile(
-                    "w+", encoding="utf-8", newline="\n", dir=os.path.dirname(fh.name)))
-                split //= 2
-                calls.append(partial(_format_part, spill, reports[split:]))
-        with _forked("coefficients.csv", calls) as results:
-            spent = time.perf_counter() - tick
-            if "energy" in emit:
-                with create("energy.csv") as energy:
-                    _write_csv(energy, ["t_end", "energy", "norm"], "%.17g,%.17g,%.17g",
-                               ((r.t_end, r.energy, r.norm_squared) for r in reports))
-            tick = time.perf_counter()
-            if "coefficients" in emit:
-                _write_csv(fh, ["slice", "k", "re", "im", "abs2"], _COEFFICIENT_ROW,
-                           _coefficient_rows(reports[:split]))
-                if calls:
-                    results()
-                    fh.flush()
-                    spill.seek(0)
-                    shutil.copyfileobj(spill.buffer, fh.buffer)
-    return spent + time.perf_counter() - tick
+    with create("coefficients.csv") as fh:
+        if len(reports) * reports[0].coefficients.size <= _SPLIT_ROWS or _available_cpus() < 2:
+            _write_csv(fh, _COEFFICIENT_HEADER, _COEFFICIENT_ROW, _coefficient_rows(reports))
+        else:
+            half = len(reports) // 2
+            # beside the output, not in a temporary directory that may be
+            # held in memory: a large run's rows take gigabytes
+            with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n",
+                                         dir=os.path.dirname(fh.name)) as spill,
+                  _forked("coefficients.csv",
+                          [partial(_format_part, spill, reports[half:])]) as results):
+                _write_csv(fh, _COEFFICIENT_HEADER, _COEFFICIENT_ROW,
+                           _coefficient_rows(reports[:half]))
+                results()
+                fh.flush()
+                spill.seek(0)
+                shutil.copyfileobj(spill.buffer, fh.buffer)
+    return time.perf_counter() - tick
 
 
 def _format_part(spill: TextIO, reports: Sequence) -> None:
@@ -1066,10 +1059,7 @@ def compare_dirac_scenario(config: ScenarioConfig,
         else:
             report = dirac_mod.DivergenceReport(math.inf, math.inf, float(t0))
         with create("divergence_report.json") as fh:
-            _write_json(fh, {"max_norm": report.max_norm,
-                             "final_norm": report.final_norm,
-                             "first_exceedance_time": report.first_exceedance_time,
-                             "rk4_dt": rk4_dt,
+            _write_json(fh, {**asdict(report), "rk4_dt": rk4_dt,
                              "max_phase_per_step": float(np.ptp(omegas)) * rk4_dt})
         return report
 

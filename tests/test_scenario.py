@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import errno
 import io
 import json
@@ -25,11 +26,13 @@ from hypothesis import strategies as st
 from mpsolve import scenario as scenario_mod
 from mpsolve.cli import main as cli_main
 from mpsolve.core import Grid, HamiltonianSpec, PotentialSpec
+from mpsolve.dirac import DivergenceReport
 from mpsolve.eigensolver import Sector, discretize, eigendecompose
 from mpsolve.projection import ProjectionStepReport, evolve
 from mpsolve.scenario import (
     MAX_BASIS_BYTES,
     MAX_SLICES,
+    RunSummary,
     ScenarioError,
     bundled_scenario_path,
     compare_dirac_scenario,
@@ -288,6 +291,23 @@ class TestValidate:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(write_scenario(tmp_path, doc))
         assert violation in excinfo.value.violations
+
+    def test_empty_output_directory(self, tmp_path, capsys):
+        doc = with_change(quench_doc(), ("outputs", "directory"), "")
+        assert cli_main(["validate", write_scenario(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err == (
+            "invalid scenario: outputs.directory: must not be empty\n")
+
+    @pytest.mark.parametrize("command", [["run"], ["converge", "--doublings", "2"],
+                                         ["compare-dirac"]])
+    def test_empty_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        path = write_scenario(tmp_path, quench_doc())
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command[0], path, *command[1:], "--out", ""])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("argument --out: must not be empty\n")
+        assert os.listdir(tmp_path) == ["scenario.json"]
 
     @pytest.mark.parametrize("text, violation", [
         ("re\n1.0\n", "needs 're' and 'im' columns"),
@@ -917,6 +937,15 @@ class TestRun:
                            for row in doc_out["final_coefficients"]])
         assert np.abs(coeffs - summary.final_coefficients).max() < 1e-12
 
+    def test_summary_is_the_record_then_timings(self, tmp_path):
+        # quench_doc emits no coefficients.csv, so no time goes to it
+        run_scenario(parse_scenario(write_scenario(tmp_path, quench_doc())),
+                     str(tmp_path / "out"))
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert list(doc) == [f.name for f in dataclasses.fields(RunSummary)] + ["timings"]
+        assert list(doc["timings"]) == ["evolve_s", "eigensolve_s", "project_s",
+                                        "coefficients_s", "output_s"]
+        assert doc["timings"]["coefficients_s"] == 0.0
 
     def test_amplitude_file_read_at_parse_time(self, tmp_path):
         g = np.linspace(-12.0, 12.0, 64)
@@ -1222,6 +1251,8 @@ class TestCompareDirac:
         assert abs(a_mp - a_rk) / a_rk < 0.05
         assert abs(a_mp - a_fo) / a_fo < 0.05
         doc = json.loads((tmp_path / "out" / "divergence_report.json").read_text())
+        assert list(doc) == ([f.name for f in dataclasses.fields(DivergenceReport)]
+                             + ["rk4_dt", "max_phase_per_step"])
         assert doc["rk4_dt"] == 1.0 / 400
         assert doc["max_phase_per_step"] == pytest.approx(47.0 / 400, rel=1e-2)
 
