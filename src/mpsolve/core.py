@@ -105,7 +105,9 @@ class ScaleProfile:
       sampled            linear interpolation through (times, values)
 
     Branch boundaries are closed on the left: S(t_on) is still the
-    pre-switch value.
+    pre-switch value.  A call gives S at one time, and it is the only code
+    that computes S: `PotentialSpec` makes one call per time wherever it
+    needs S at many, so every S in the package comes from the same bits.
     """
 
     kind: str
@@ -160,19 +162,6 @@ class ScaleProfile:
             raise ValueError("time out of range")
         return float(np.interp(t, self.times, self.values))
 
-    def at(self, t: np.ndarray) -> np.ndarray:
-        """S at each time of an array, equal to a call per time."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full(t.shape, self.eta)
-        if self.kind == "step":
-            return np.where(t <= self.t_on, 1.0, self.eta)
-        if self.kind == "pulse":
-            return np.where((self.t_on < t) & (t < self.t_off), self.eta, 1.0)
-        if np.any(t < self.times[0]) or np.any(t > self.times[-1]):
-            raise ValueError("time out of range")
-        return np.interp(t, self.times, self.values)
-
     def extent(self) -> tuple[float, float]:
         """The least and the greatest value S takes."""
         if self.kind == "sampled":
@@ -197,8 +186,13 @@ class PotentialSpec:
       scaled_harmonic    V = S(t) k x^2 / 2; `harmonic(k)` is S = 1
       tabulated          samples V(x_i, t_j), exact at x nodes, linear in t
 
-    `evaluate` gives V at given times, and `moments` its first two Legendre
-    moments over a time interval, from S or the sample rows alone.
+    A run and `validate` ask V the same questions here: `evaluate` gives V
+    at given times, `moments` its first two Legendre moments over a time
+    interval, from S or the sample rows alone, and `extremes` the rows that
+    bound V at every time, which `evolution_sector` tests for mirror
+    symmetry and `validate` counts resolved states in, with V(t0).  A
+    tabulated V is defined on its sampled x grid only: `_rows` holds that
+    rule, and `validate` applies it by calling `extremes`.
     """
 
     kind: str
@@ -242,12 +236,12 @@ class PotentialSpec:
 
     def evaluate(self, x, t):
         """V(x, t) for scalar or array x at a time t, or one row per time
-        for a 1-D array t."""
+        for a 1-D array t, with S from one profile call per time."""
         if self.kind == "tabulated":
             j, frac = self._rows(x, t)
             out = (1 - frac) * self.v_samples[j] + frac * self.v_samples[j + 1]
         else:
-            s = self.profile.at(t) if np.ndim(t) else self.profile(t)
+            s = self._scale(t) if np.ndim(t) else self.profile(t)
             out = np.multiply.outer(0.5 * s * self.k, np.asarray(x, dtype=float) ** 2)
         if not np.all(np.isfinite(out)):
             raise ValueError("potential evaluated to a non-finite value")
@@ -276,7 +270,7 @@ class PotentialSpec:
         # d / 4 weighs the sums by p and the differences by q
         p, q = w * (mid - 0.5 * (t_a + t_b)) / dt, w * s / dt
         if self.kind == "scaled_harmonic":
-            lo, hi = self.profile.at(mid - s), self.profile.at(mid + s)
+            lo, hi = self._scale(mid - s), self._scale(mid + s)
             s_moments = np.array([w @ (lo + hi), 4.0 * (p @ (lo + hi) + q @ (hi - lo))])
             m0, d = np.multiply.outer(0.5 * s_moments * self.k, np.asarray(x, dtype=float) ** 2)
         else:
@@ -290,11 +284,16 @@ class PotentialSpec:
             raise ValueError("potential evaluated to a non-finite value")
         return m0, d
 
+    def _scale(self, t: np.ndarray) -> np.ndarray:
+        """S at each time of a 1-D array: one call of the profile per time."""
+        return np.array([self.profile(u) for u in np.asarray(t, dtype=float).tolist()])
+
     def extremes(self, x) -> np.ndarray:
         """Rows of V at x such that V(x, t) at every t is a convex
         combination of two of them: the sample rows of a tabulated
         potential, and k x^2 / 2 times the least and the greatest value of
-        S."""
+        S.  ValueError, as `_rows` gives it, unless x is a tabulated
+        potential's sampled grid."""
         if self.kind == "tabulated":
             self._rows(x, self.t_samples[:1])  # x must be the sampled grid
             return self.v_samples
@@ -343,7 +342,9 @@ class HamiltonianSpec:
 
     def potential_on_grid(self, grid: Grid, t) -> np.ndarray:
         """V on the grid nodes at a time t, or one row per time for a 1-D
-        array t."""
+        array t, as `PotentialSpec.evaluate` gives it: ValueError for a time
+        outside V's samples, a grid other than a tabulated V's sampled one,
+        or a non-finite V."""
         return np.asarray(self.potential.evaluate(grid.x, t), dtype=float)
 
 

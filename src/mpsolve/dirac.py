@@ -31,6 +31,7 @@ from .eigensolver import EigenBasis
 
 __all__ = [
     "AmplitudeTrajectory",
+    "AmplitudeBlowUp",
     "DivergenceReport",
     "perturbation_operator",
     "perturbation_elements",
@@ -50,7 +51,22 @@ class AmplitudeTrajectory:
 
     @property
     def norm_history(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+        """sum_k |C_k|^2 per row, without floating-point warnings: inf
+        where the sum overflows or the row is not finite, as the last row of
+        an `AmplitudeBlowUp`'s trajectory is."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sum(np.abs(self.amplitudes) ** 2, axis=1)
+        norms[np.isnan(norms)] = np.inf
+        return norms
+
+
+class AmplitudeBlowUp(RuntimeError):
+    """`integrate_amplitudes` stopped at a step whose amplitudes are not all
+    finite; `trajectory` holds the steps up to that one, which ends it."""
+
+    def __init__(self, message: str, trajectory: AmplitudeTrajectory):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -174,11 +190,12 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
     complex V, as `perturbation_operator` returns, is used as it is, and a
     real one is cast to complex inside the product.
 
-    Aborts with the index of the first step whose amplitudes are not all
-    finite, a reportable outcome under strong coupling, not a bug.  The
-    steps are checked a block at a time, without floating-point warnings,
-    and no block after the bad one is stepped.  Memory beyond the returned
-    trajectory is O(_BLOCK M) whatever `steps` is.
+    Aborts with `AmplitudeBlowUp`, a RuntimeError that names the first
+    step whose amplitudes are not all finite and holds the trajectory up
+    to that step: a reportable outcome under strong coupling, not a bug.
+    The steps are checked a block at a time, without floating-point
+    warnings, and no block after the bad one is stepped.  Memory beyond
+    the returned trajectory is O(_BLOCK M) whatever `steps` is.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -244,7 +261,9 @@ def integrate_amplitudes(v_of_t: Callable[[float], np.ndarray],
                     v1 = v_next
             bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
             if bad.size:
-                raise RuntimeError("non-finite amplitude at step %d" % (row + 1 + bad[0]))
+                step = row + 1 + bad[0]
+                raise AmplitudeBlowUp("non-finite amplitude at step %d" % step,
+                                      AmplitudeTrajectory(times[:step + 1], history[:step + 1]))
             row += size
     return AmplitudeTrajectory(times=times, amplitudes=history)
 

@@ -453,23 +453,29 @@ def parse_scenario(path: str) -> ScenarioConfig:
         _fits("schedule.slices", "per-slice coefficient history", max(ran), retained, 16,
               errors)
 
+    t_start = t0  # where V is defined at t0, V(t0) bounds the resolution too
     if potential.kind == "tabulated" or potential.profile.kind == "sampled":
         knots = potential.breakpoints()
         for name, t in covered:
             if t is not None and not knots[0] <= t <= knots[-1]:
                 errors.append("potential: samples span [%g, %g], not %s = %g"
                               % (knots[0], knots[-1], name, t))
-    if potential.kind == "tabulated" and grid is not None and not (
-        potential.x_samples.shape == (grid.points,)
-        and np.allclose(potential.x_samples, grid.x, rtol=0, atol=1e-12)
-    ):
-        errors.append("potential.x_samples: must be the grid nodes")
-        potential_ok = False
+                if name == "schedule.t0":
+                    t_start = None
+    # the rule on x that a run applies, where grid.x fits in the work space
+    # (a larger grid is invalid anyway); an overflow of V is listed below
+    if grid is not None and points * _GRID_WORK * 8 <= MAX_BASIS_BYTES:
+        try:
+            with np.errstate(over="ignore"):
+                potential.extremes(grid.x)
+        except ValueError:
+            errors.append("potential.x_samples: must be the grid nodes")
+            potential_ok = False
 
     if grid is not None and None not in (hbar, mass) and potential_ok and basis_fits:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                wells = _wells(HamiltonianSpec(mass, hbar, potential), grid, t0)
+                wells = _wells(HamiltonianSpec(mass, hbar, potential), grid, t_start)
         except ValueError as exc:  # a Hamiltonian entry beyond the double range
             errors.append("potential: %s" % exc)
         else:
@@ -522,19 +528,19 @@ def _wells(h: HamiltonianSpec, grid: Grid,
     Above a quarter of the kinetic band 2 hbar^2/(m dx^2) the grid no longer
     resolves a state: the upper states of a coarse grid pair up nearly
     degenerate, and a truncation that cuts such a pair makes projections
-    depend on rounding.  Scaled-harmonic ones are taken once, at the largest
-    scale the profile takes (the stiffest well holds the fewest states);
-    tabulated ones at t0 and at every sample time."""
-    pot = h.potential
-    if pot.kind == "tabulated":
-        times = pot.breakpoints().tolist()
-        if t0 is not None and times[0] <= t0 <= times[-1]:
-            times.append(t0)
-        wells = h.potential_on_grid(grid, np.array(times))
-    else:
-        wells = [0.5 * pot.profile.extent()[1] * pot.k * grid.x**2]
+    depend on rounding.  The wells are V's `PotentialSpec.extremes` and,
+    when t0 is given, V(t0), so t0 must lie where V is defined.  A tabulated
+    V between two sample rows may resolve fewer states than either row, so
+    the V(t0) that starts a run counts as well.  For scaled_harmonic the row
+    at the largest S binds: the eigenvalues of T + S (Q - min Q) only rise
+    with S."""
+    def rows() -> Iterator[np.ndarray]:
+        yield from h.potential.extremes(grid.x)
+        if t0 is not None:  # after the extremes, whose matrices report an overflow of V
+            yield h.potential_on_grid(grid, t0)
+
     quarter_band = 0.5 * h.hbar**2 / (h.mass * grid.dx**2)
-    return [(tridiagonal_hamiltonian(h, grid, v), v.min() + quarter_band) for v in wells]
+    return [(tridiagonal_hamiltonian(h, grid, v), v.min() + quarter_band) for v in rows()]
 
 
 def _fmt(x: float) -> str:
@@ -993,8 +999,10 @@ def compare_dirac_scenario(config: ScenarioConfig,
                            out_dir: str | None = None) -> dirac_mod.DivergenceReport:
     """Compare multi-projection, RK4 amplitude-equation, and first-order
     amplitudes per target state; writes dirac_compare.csv, norm_history.csv
-    and divergence_report.json.  Files written before a failure are
-    removed."""
+    and divergence_report.json.  Where RK4 blows up, norm_history.csv and
+    the report cover its steps up to the first non-finite one, whose norm
+    reads inf; a non-finite report value is written as null.  Files written
+    before a failure are removed."""
     if config.dirac is None:
         raise ScenarioError(["compare-dirac requires a 'dirac' section "
                              "(states, rk4_steps, targets)"])
@@ -1028,9 +1036,9 @@ def compare_dirac_scenario(config: ScenarioConfig,
             traj = dirac_mod.integrate_amplitudes(v_of_t, omegas, c0, (t0, t_end), rk4_steps,
                                                   knots, hbar=h.hbar)
             rk4_final = traj.amplitudes[-1] * np.exp(-1j * omegas * (t_end - t0))
-        except RuntimeError:
-            # amplitude blow-up is itself a reportable outcome
-            traj = None
+        except dirac_mod.AmplitudeBlowUp as exc:
+            # amplitude blow-up is itself a reportable outcome, up to its step
+            traj = exc.trajectory
             rk4_final = np.full(n_states, np.nan, dtype=complex)
 
         rows = []
@@ -1050,17 +1058,15 @@ def compare_dirac_scenario(config: ScenarioConfig,
                             "diff_mp_rk4", "diff_mp_fo", "diff_rk4_fo"],
                        "%d" + ",%.17g" * 6, rows)
 
-        if traj is not None:
-            norms = traj.norm_history
-            with create("norm_history.csv") as fh:
-                _write_csv(fh, ["t", "norm"], "%.17g,%.17g",
-                           zip(traj.times.tolist(), norms.tolist()))
-            report = dirac_mod.divergence_diagnostic(traj)
-        else:
-            report = dirac_mod.DivergenceReport(math.inf, math.inf, float(t0))
-        with create("divergence_report.json") as fh:
-            _write_json(fh, {**asdict(report), "rk4_dt": rk4_dt,
-                             "max_phase_per_step": float(np.ptp(omegas)) * rk4_dt})
+        with create("norm_history.csv") as fh:
+            _write_csv(fh, ["t", "norm"], "%.17g,%.17g",
+                       zip(traj.times.tolist(), traj.norm_history.tolist()))
+        report = dirac_mod.divergence_diagnostic(traj)
+        doc = {**asdict(report), "rk4_dt": rk4_dt,
+               "max_phase_per_step": float(np.ptp(omegas)) * rk4_dt}
+        with create("divergence_report.json") as fh:  # strict JSON: a non-finite value is null
+            _write_json(fh, {k: v if v is None or math.isfinite(v) else None
+                             for k, v in doc.items()})
         return report
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,14 @@ class TestBitIdentity:
         with pytest.raises(RuntimeError) as got:
             integrate_amplitudes(*args)
         assert str(got.value) == message
+        # the trajectory ends at that step, the only one not finite
+        traj = got.value.trajectory
+        assert np.array_equal(traj.times, np.arange(174) * 0.1)
+        finite = np.isfinite(traj.amplitudes).all(axis=1)
+        assert finite[:-1].all() and not finite[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert traj.norm_history[-1] == np.inf
 
     def test_memory_does_not_grow_with_steps(self):
         coupling = COUPLING.copy()

@@ -414,6 +414,18 @@ class TestValidate:
             parse_scenario(write_scenario(tmp_path, doc))
         assert excinfo.value.violations == [coarse_violation(2, 0)]
 
+    def test_resolution_counted_at_t0_between_samples(self, tmp_path):
+        # each row alone resolves 1 and 2 states, their mean, V at t0 = 1, none
+        doc = tabulated_doc()
+        doc["potential"]["v_samples"] = [[2.5, 0, 19.4, 0, 8.1, 28.1, 29.5, 0, 0],
+                                         [0.2, 0, 0, 0, 0, 0, 22.3, 0, 1.0]]
+        doc["basis"]["truncation"] = 1
+        parse_scenario(write_scenario(tmp_path, doc))
+        doc["schedule"]["t0"] = 1.0
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(write_scenario(tmp_path, doc))
+        assert excinfo.value.violations == [coarse_violation(1, 0)]
+
     @pytest.mark.parametrize("points, truncation, ok", [
         (16384, None, True), (16385, None, False), (4194304, 64, True),
         (4194305, 64, False), (10**12, 64, False),
@@ -1266,6 +1278,48 @@ class TestCompareDirac:
         # 16 states with w_k ~ k + 1/2 and dt = 30/60, far past RK4's bound of ~2.8
         assert doc["rk4_dt"] == 0.5
         assert doc["max_phase_per_step"] == pytest.approx(7.5, rel=1e-2)
+
+    @staticmethod
+    def strict_json(path):
+        def refuse(token):
+            raise ValueError("%s is not strict JSON" % token)
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_blow_up_reports_its_finite_steps(self, tmp_path, capsys):
+        # RK4 at dt = 100 stops at step 27; the norm passed 1.1 at step 1
+        doc = with_change(quench_doc(), ("dirac",),
+                          {"states": 48, "rk4_steps": 30, "t1": 3000.0, "targets": [2]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["compare-dirac", write_scenario(tmp_path, doc),
+                             "--out", str(tmp_path / "out")]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == ["amplitude-equation norm: max inf, final inf",
+                                    "norm first exceeded 1.1 at t = 100"]
+        report = self.strict_json(tmp_path / "out" / "divergence_report.json")
+        assert report["first_exceedance_time"] == 100.0
+        assert report["max_norm"] is None and report["final_norm"] is None
+        norms = np.loadtxt(tmp_path / "out" / "norm_history.csv", delimiter=",",
+                           skiprows=1)
+        assert norms[:, 0].tolist() == [100.0 * i for i in range(28)]
+        assert norms[1, 1] > 1e13 and norms[-1, 1] == math.inf
+
+    def test_norm_overflow_is_null_without_a_warning(self, tmp_path, capsys):
+        # the amplitudes stay finite (|C_2| about 8e183), but |C|^2 overflows
+        doc = with_change(quench_doc(), ("dirac",),
+                          {"states": 32, "rk4_steps": 30, "t1": 200.0, "targets": [2]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["compare-dirac", write_scenario(tmp_path, doc),
+                             "--out", str(tmp_path / "out")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("amplitude-equation norm: max inf, final inf\n")
+        report = self.strict_json(tmp_path / "out" / "divergence_report.json")
+        assert report["max_norm"] is None and report["final_norm"] is None
+        rows = np.loadtxt(tmp_path / "out" / "dirac_compare.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        assert np.isfinite(rows[0, 2]) and rows[0, 2] > 1e180
 
     def test_rk4_dt_is_the_largest_step(self, tmp_path):
         # the pulse's edges cut [0, 1] into 0.25, 0.25 and 0.5, which take
